@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 /// How the renamer combines the compiler's static sharing hints with its
 /// dynamic predictors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum HintPolicy {
     /// Ignore static hints entirely — the paper's configuration. This is
     /// the default and is bit-identical to the pre-hint simulator.
@@ -79,7 +79,7 @@ impl HintStats {
 }
 
 /// Configuration shared by both renaming schemes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RenamerConfig {
     /// Integer register file bank layout.
     pub int_banks: BankConfig,

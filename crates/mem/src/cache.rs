@@ -4,7 +4,7 @@ use regshare_stats::Ratio;
 use serde::{Deserialize, Serialize};
 
 /// Geometry and latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,

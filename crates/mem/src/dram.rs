@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// Defaults model the paper's DDR3-1600 configuration seen from a 2 GHz
 /// core: `tCAS = tRCD = tRP = 13.75 ns ≈ 28` core cycles, 2 ranks/channel,
 /// 8 banks/rank, 8 KB rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct DramConfig {
     /// Column access latency (row already open).
     pub t_cas: u32,

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Configuration of the whole hierarchy; defaults follow Table I of the
 /// paper (32 KB/2-way/1-cycle L1D, 48 KB/3-way/1-cycle L1I, 1 MB/16-way/
 /// 12-cycle L2, stride prefetcher of degree 1, 48-entry TLB, DDR3-1600).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct HierarchyConfig {
     /// L1 data cache.
     pub l1d: CacheConfig,

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Stride-prefetcher configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct StridePrefetcherConfig {
     /// Number of PC-indexed tracking entries (a power of two).
     pub entries: usize,

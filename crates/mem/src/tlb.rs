@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Defaults model the paper's 48-entry fully-associative L1 TLB; the walk
 /// penalty abstracts the hardware page-table walker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TlbConfig {
     /// Number of entries (fully associative).
     pub entries: usize,

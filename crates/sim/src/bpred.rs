@@ -6,7 +6,7 @@ use regshare_stats::Ratio;
 use serde::{Deserialize, Serialize};
 
 /// Branch predictor configuration (Table I: 2K-entry BTB).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BranchPredictorConfig {
     /// gshare pattern-history-table entries (2-bit counters).
     pub pht_entries: usize,

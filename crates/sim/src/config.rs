@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 /// Which order the issue stage considers operand-ready micro-ops in
 /// (the [`crate::IssueSelect`] implementation to instantiate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum IssuePolicyKind {
     /// Oldest (lowest sequence number) first — the classic age-ordered
     /// select matrix, and the behaviour the paper's results assume.
@@ -22,7 +22,7 @@ pub enum IssuePolicyKind {
 /// [`crate::RecoveryPolicy`] implementation to instantiate). Both
 /// policies restore identical architectural state; they differ only in
 /// the extra redirect cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum RecoveryPolicyKind {
     /// Walk the rename checkpoints youngest-first and charge
     /// `SimConfig::recover_bandwidth` shadow-cell recover commands per
@@ -38,7 +38,7 @@ pub enum RecoveryPolicyKind {
 /// Which hardware thread gets the fetch stage each cycle when several
 /// are resident (the [`crate::FetchPolicy`] implementation to
 /// instantiate). Irrelevant — and byte-identical — with one thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum FetchPolicyKind {
     /// Rotate through the threads cycle by cycle, skipping ineligible
     /// ones — the simplest fair arbiter, and the default.
@@ -52,7 +52,7 @@ pub enum FetchPolicyKind {
 
 /// One functional-unit pool: how many units execute an [`OpClass`], at
 /// what latency, and whether they accept a new operation every cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FuConfig {
     /// Number of identical units.
     pub count: usize,
@@ -65,7 +65,7 @@ pub struct FuConfig {
 
 /// Full simulator configuration; [`SimConfig::default`] reproduces
 /// Table I of the paper (2 GHz ARM-class core).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Resident hardware threads (SMT contexts) sharing the pipeline.
     /// Each thread gets its own rename/retire maps, ROB partition and

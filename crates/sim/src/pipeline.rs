@@ -219,10 +219,16 @@ impl Pipeline {
         for addr in &config.inject_page_faults {
             mem_timing.tlb_mut().inject_fault(*addr);
         }
-        let int_occupancy = (0..renamer.banks(RegClass::Int).num_banks())
+        // Per-bank samplers only when sampling is on: the report of an
+        // unsampled run carries none.
+        let sampled_banks = |class| match config.occupancy_sample_interval {
+            0 => 0,
+            _ => renamer.banks(class).num_banks(),
+        };
+        let int_occupancy = (0..sampled_banks(RegClass::Int))
             .map(|k| Sampler::new(format!("int_bank{k}")))
             .collect();
-        let fp_occupancy = (0..renamer.banks(RegClass::Fp).num_banks())
+        let fp_occupancy = (0..sampled_banks(RegClass::Fp))
             .map(|k| Sampler::new(format!("fp_bank{k}")))
             .collect();
         let n = inits.len();
@@ -616,15 +622,22 @@ mod tests {
         a.subi(reg::x(1), reg::x(1), 1);
         a.bne(reg::x(1), reg::zero(), top);
         a.halt();
-        let mut cfg = SimConfig::test();
-        cfg.occupancy_sample_interval = 4;
-        let renamer = Box::new(ReuseRenamer::new(RenamerConfig::paper(64)));
-        let mut sim = Pipeline::new(a.assemble(), renamer, cfg);
-        let report = sim.run().expect("run");
+        let program = a.assemble();
+        let run = |interval| {
+            let mut cfg = SimConfig::test();
+            cfg.occupancy_sample_interval = interval;
+            let renamer = Box::new(ReuseRenamer::new(RenamerConfig::paper(64)));
+            Pipeline::new(program.clone(), renamer, cfg)
+                .run()
+                .expect("run")
+        };
+        let report = run(4);
         assert_eq!(report.int_occupancy.len(), 4); // four banks
         assert!(!report.int_occupancy[0].is_empty());
         // The conventional bank always holds at least some committed state.
         assert!(report.int_occupancy[0].min().unwrap_or(0) > 0);
+        let unsampled = run(0);
+        assert!(unsampled.int_occupancy.is_empty() && unsampled.fp_occupancy.is_empty());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Two-sided 95% Student-t quantiles for 1–30 degrees of freedom.
 const T95: [f64; 30] = [
@@ -202,8 +203,9 @@ impl SamplePlan {
 /// Collects `u64` samples and answers min/max/mean/percentile queries.
 ///
 /// Samples are stored verbatim; queries sort lazily and cache the sorted
-/// order until the next insertion. Intended for up to a few million samples
-/// (e.g. per-cycle occupancy of a register bank).
+/// order until the next insertion. The cache is a `OnceLock`, so a
+/// finished sampler can be shared across threads. Intended for up to a
+/// few million samples (e.g. per-cycle occupancy of a register bank).
 ///
 /// # Examples
 ///
@@ -223,7 +225,7 @@ pub struct Sampler {
     name: String,
     samples: Vec<u64>,
     #[serde(skip)]
-    sorted: std::cell::RefCell<Option<Vec<u64>>>,
+    sorted: OnceLock<Vec<u64>>,
 }
 
 impl Sampler {
@@ -232,7 +234,7 @@ impl Sampler {
         Sampler {
             name: name.into(),
             samples: Vec::new(),
-            sorted: std::cell::RefCell::new(None),
+            sorted: OnceLock::new(),
         }
     }
 
@@ -240,7 +242,7 @@ impl Sampler {
     #[inline]
     pub fn record(&mut self, value: u64) {
         self.samples.push(value);
-        *self.sorted.borrow_mut() = None;
+        self.sorted = OnceLock::new();
     }
 
     /// Number of samples recorded.
@@ -285,8 +287,7 @@ impl Sampler {
         if self.samples.is_empty() {
             return None;
         }
-        let mut cache = self.sorted.borrow_mut();
-        let sorted = cache.get_or_insert_with(|| {
+        let sorted = self.sorted.get_or_init(|| {
             let mut v = self.samples.clone();
             v.sort_unstable();
             v

@@ -43,6 +43,7 @@ pub mod synthetic;
 use regshare_isa::Program;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// The benchmark suite a kernel belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -104,6 +105,21 @@ impl fmt::Debug for Kernel {
             .field("name", &self.name)
             .field("suite", &self.suite)
             .finish()
+    }
+}
+
+/// Kernels are identified by their name, which is unique across suites.
+impl PartialEq for Kernel {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+    }
+}
+
+impl Eq for Kernel {}
+
+impl Hash for Kernel {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.name.hash(state);
     }
 }
 

@@ -20,84 +20,72 @@ use regshare::experiments::{die, registry, Args};
 static ALLOC: regshare::CountingAlloc = regshare::CountingAlloc::new();
 
 fn parse_args() -> Args {
-    let mut exps = Vec::new();
-    let mut scale = 150_000u64;
-    let mut out_dir = "results".to_string();
-    let mut campaigns = 108usize;
-    let mut seed = 0xC0FFEEu64;
-    let mut kernels = None;
-    let mut sample = false;
-    let mut workers = None;
-    let mut period = None;
-    let mut warmup = None;
-    let mut measure = None;
-    let mut port = 0u16;
-    let mut data_dir = "results/serve".to_string();
+    let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                scale = it
+                args.scale = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--scale needs a number"));
             }
             "--out" => {
-                out_dir = it.next().unwrap_or_else(|| die("--out needs a directory"));
+                args.out_dir = it.next().unwrap_or_else(|| die("--out needs a directory"));
             }
             "--campaigns" => {
-                campaigns = it
+                args.campaigns = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--campaigns needs a number"));
             }
             "--seed" => {
-                seed = it
+                args.seed = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--seed needs a number"));
             }
             "--kernels" => {
                 let list = it.next().unwrap_or_else(|| die("--kernels needs a list"));
-                kernels = Some(list.split(',').map(str::to_string).collect());
+                args.kernels = Some(list.split(',').map(str::to_string).collect());
             }
-            "--sample" => sample = true,
+            "--sample" => args.sample = true,
             "--workers" => {
-                workers = Some(
+                args.workers = Some(
                     it.next()
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| die("--workers needs a number")),
                 );
             }
             "--period" => {
-                period = Some(
+                args.period = Some(
                     it.next()
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| die("--period needs a number")),
                 );
             }
             "--warmup" => {
-                warmup = Some(
+                args.warmup = Some(
                     it.next()
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| die("--warmup needs a number")),
                 );
             }
             "--measure" => {
-                measure = Some(
+                args.measure = Some(
                     it.next()
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| die("--measure needs a number")),
                 );
             }
             "--port" => {
-                port = it
+                args.port = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--port needs a port number"));
             }
             "--data-dir" => {
-                data_dir = it
+                args.data_dir = it
                     .next()
                     .unwrap_or_else(|| die("--data-dir needs a directory"));
             }
@@ -123,27 +111,13 @@ fn parse_args() -> Args {
                 );
                 std::process::exit(0);
             }
-            other => exps.push(other.to_string()),
+            other => args.exps.push(other.to_string()),
         }
     }
-    if exps.is_empty() {
-        exps.push("all".into());
+    if args.exps.is_empty() {
+        args.exps.push("all".into());
     }
-    Args {
-        exps,
-        scale,
-        out_dir,
-        campaigns,
-        seed,
-        kernels,
-        sample,
-        workers,
-        period,
-        warmup,
-        measure,
-        port,
-        data_dir,
-    }
+    args
 }
 
 fn main() {

@@ -1,11 +1,10 @@
-//! The shared ablation harness and renamer factories used by the four
-//! `ablate-*` subcommands.
+//! The shared ablation harness and renamer configuration builder used by
+//! the four `ablate-*` subcommands.
 
 use super::common::{save, Args, ExpError};
-use crate::core::{BankConfig, HintPolicy, Renamer, RenamerConfig, ReuseRenamer};
-use crate::harness::{
-    experiment_config, par_map, run_kernel, run_kernel_with, swept_class, Scheme, FIXED_RF,
-};
+use super::sweeps::with_swept_banks;
+use crate::core::{BankConfig, RenamerConfig};
+use crate::harness::{par_map, swept_class, RenamerKind, RunSpec, Scheme};
 use crate::isa::RegClass;
 use crate::stats::{geomean, Table};
 use crate::workloads::all_kernels;
@@ -18,6 +17,9 @@ struct AblateRow {
     mean_reuse_pct: f64,
 }
 
+/// Runs every setting on every kernel against the 64-register baseline.
+/// `settings` pairs a label with the proposed scheme's configuration for
+/// a swept register class.
 pub(crate) fn ablate<F>(
     args: &Args,
     name: &str,
@@ -25,29 +27,30 @@ pub(crate) fn ablate<F>(
     settings: Vec<(String, F)>,
 ) -> Result<(), ExpError>
 where
-    F: Fn(RegClass) -> Box<dyn Renamer> + Sync,
+    F: Fn(RegClass) -> RenamerConfig + Sync,
 {
     println!("{title}");
     let mut table = Table::with_headers(&["setting", "geomean speedup", "mean reuse %"]);
     table.numeric();
-    let mut rows = Vec::new();
     let kernels = all_kernels();
-    for (label, make) in settings {
-        // The renamer factory runs inside each worker: a boxed renamer
-        // is not `Send`, but it never crosses a thread boundary.
-        let metrics = par_map(&kernels, |k| {
-            let base = run_kernel(k, Scheme::Baseline, 64, args.scale);
-            let prop = run_kernel_with(
-                k,
-                make(swept_class(k.suite)),
-                experiment_config(args.scale),
-                args.scale,
-            );
-            (
-                prop.ipc() / base.ipc(),
-                prop.rename.reuse_fraction() * 100.0,
-            )
-        });
+    // One par_map over every (setting, kernel) point, so no setting waits
+    // for the slowest kernel of the one before it.
+    let points: Vec<(usize, usize)> = (0..settings.len())
+        .flat_map(|s| (0..kernels.len()).map(move |k| (s, k)))
+        .collect();
+    let metrics = par_map(&points, |&(s, k)| {
+        let k = &kernels[k];
+        let base = args.report(&RunSpec::scheme(*k, Scheme::Baseline, 64, args.scale));
+        let config = (settings[s].1)(swept_class(k.suite));
+        let prop = args.report(&RunSpec::new(*k, RenamerKind::Reuse, config, args.scale));
+        (
+            prop.ipc() / base.ipc(),
+            prop.rename.reuse_fraction() * 100.0,
+        )
+    });
+    // Aggregate per setting in kernel order, as the per-setting sweep did.
+    let mut rows = Vec::new();
+    for ((label, _), metrics) in settings.into_iter().zip(metrics.chunks(kernels.len())) {
         let speedups: Vec<f64> = metrics.iter().map(|m| m.0).collect();
         let reuse: Vec<f64> = metrics.iter().map(|m| m.1).collect();
         let g = geomean(&speedups);
@@ -63,35 +66,21 @@ where
     save(&args.out_dir, name, &rows)
 }
 
-pub(crate) fn renamer_with(
+/// The proposed scheme's configuration with `swept_banks` as the swept
+/// file and the given version-counter width, predictor size and
+/// speculation switch; every other field keeps the paper's value.
+pub(crate) fn reuse_config(
     swept: RegClass,
     swept_banks: BankConfig,
     counter_bits: u8,
-    entries: usize,
-) -> Box<dyn Renamer> {
-    renamer_with_spec(swept, swept_banks, counter_bits, entries, true)
-}
-
-pub(crate) fn renamer_with_spec(
-    swept: RegClass,
-    swept_banks: BankConfig,
-    counter_bits: u8,
-    entries: usize,
+    predictor_entries: usize,
     speculative_reuse: bool,
-) -> Box<dyn Renamer> {
-    let fixed = BankConfig::conventional(FIXED_RF);
-    let (int_banks, fp_banks) = match swept {
-        RegClass::Int => (swept_banks, fixed),
-        RegClass::Fp => (fixed, swept_banks),
-    };
-    Box::new(ReuseRenamer::new(RenamerConfig {
-        int_banks,
-        fp_banks,
+) -> RenamerConfig {
+    let template = RenamerConfig {
         counter_bits,
-        predictor_entries: entries,
-        predictor_bits: 2,
+        predictor_entries,
         speculative_reuse,
-        hint_policy: HintPolicy::DynamicOnly,
-        threads: 1,
-    }))
+        ..RenamerConfig::baseline(64)
+    };
+    with_swept_banks(template, swept, swept_banks)
 }

@@ -1,6 +1,6 @@
 //! Ablation: shadow-bank split at a fixed register count.
 
-use super::ablate::{ablate, renamer_with};
+use super::ablate::{ablate, reuse_config};
 use super::common::{Args, ExpError};
 use crate::core::BankConfig;
 use crate::isa::RegClass;
@@ -20,7 +20,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
         .map(|sizes| {
             let label = format!("{sizes:?}");
             (label, move |swept: RegClass| {
-                renamer_with(swept, BankConfig::new(sizes.clone()), 2, 512)
+                reuse_config(swept, BankConfig::new(sizes.clone()), 2, 512, true)
             })
         })
         .collect();

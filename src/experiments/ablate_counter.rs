@@ -1,6 +1,6 @@
 //! Ablation: version-counter width.
 
-use super::ablate::{ablate, renamer_with};
+use super::ablate::{ablate, reuse_config};
 use super::common::{Args, ExpError};
 use crate::core::BankConfig;
 use crate::isa::RegClass;
@@ -17,7 +17,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
                 // Same bank layout throughout; narrower counters simply
                 // saturate earlier and leave deeper shadow cells unused.
                 let banks = BankConfig::new(vec![52, 4, 4, 4]);
-                renamer_with(swept, banks, bits, 512)
+                reuse_config(swept, banks, bits, 512, true)
             })
         })
         .collect();

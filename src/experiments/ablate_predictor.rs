@@ -1,6 +1,6 @@
 //! Ablation: register type predictor size.
 
-use super::ablate::{ablate, renamer_with};
+use super::ablate::{ablate, reuse_config};
 use super::common::{Args, ExpError};
 use crate::core::BankConfig;
 use crate::isa::RegClass;
@@ -13,7 +13,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
             let label = format!("{entries} entries");
             (label, move |swept: RegClass| {
                 let banks = BankConfig::new(vec![52, 4, 4, 4]);
-                renamer_with(swept, banks, 2, entries)
+                reuse_config(swept, banks, 2, entries, true)
             })
         })
         .collect();

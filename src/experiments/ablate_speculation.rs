@@ -1,6 +1,6 @@
 //! Ablation: speculative (non-redefining) reuse on vs safe reuses only.
 
-use super::ablate::{ablate, renamer_with_spec};
+use super::ablate::{ablate, reuse_config};
 use super::common::{Args, ExpError};
 use crate::core::BankConfig;
 use crate::isa::RegClass;
@@ -15,7 +15,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
     .map(|(label, spec)| {
         (label.to_string(), move |swept: RegClass| {
             let banks = BankConfig::new(vec![52, 4, 4, 4]);
-            renamer_with_spec(swept, banks, 2, 512, spec)
+            reuse_config(swept, banks, 2, 512, spec)
         })
     })
     .collect();

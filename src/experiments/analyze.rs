@@ -2,7 +2,7 @@
 //! the dynamic measurement.
 
 use super::common::{ratio_pct, save, Args, ExpError};
-use crate::harness::{par_map, run_kernel, Scheme};
+use crate::harness::{par_map, RunSpec, Scheme};
 use crate::stats::Table;
 use crate::workloads::all_kernels;
 use serde::Serialize;
@@ -49,7 +49,9 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
         let c = classify(&cfg, program.insts());
         let report = oracle_check(&program, budget)
             .unwrap_or_else(|e| panic!("{}: oracle run failed: {e}", k.name));
-        let predictor = run_kernel(k, Scheme::Proposed, 64, args.scale).predictor;
+        let predictor = args
+            .report(&RunSpec::scheme(*k, Scheme::Proposed, 64, args.scale))
+            .predictor;
         let sites = c.len().max(1) as f64;
         StaticOracleRow {
             kernel: k.name.into(),

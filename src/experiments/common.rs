@@ -8,11 +8,14 @@
 //! in the same structured-diagnostic discipline `SimError` brought to
 //! the pipeline.
 
+use crate::harness::{RunMemo, RunSpec};
+use crate::sim::SimReport;
 use regshare_stats::SamplePlan;
 use serde::Serialize;
 use std::fmt;
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
 /// A structured experiment-harness failure. Every variant names the
 /// artifact involved so a failing batch run is diagnosable from the
@@ -114,9 +117,49 @@ pub struct Args {
     pub port: u16,
     /// Job-service state directory (journal + result cache) for `serve`.
     pub data_dir: String,
+    /// The process's detailed runs: every experiment that names its
+    /// points as [`RunSpec`]s asks here, so a point shared between
+    /// experiments simulates once.
+    pub memo: RunMemo,
+}
+
+impl Default for Args {
+    /// The CLI defaults (scale 150 000, results under `results/`) with
+    /// no experiment named yet and an empty memo.
+    fn default() -> Self {
+        Args {
+            exps: Vec::new(),
+            scale: 150_000,
+            out_dir: "results".to_string(),
+            campaigns: 108,
+            seed: 0xC0FFEE,
+            kernels: None,
+            sample: false,
+            workers: None,
+            period: None,
+            warmup: None,
+            measure: None,
+            port: 0,
+            data_dir: "results/serve".to_string(),
+            memo: RunMemo::new(),
+        }
+    }
 }
 
 impl Args {
+    /// The report of `spec`, simulated at most once per process through
+    /// [`Args::memo`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation errors — an experiment must never
+    /// silently drop a run.
+    pub(crate) fn report(&self, spec: &RunSpec) -> Arc<SimReport> {
+        self.memo
+            .run(spec)
+            .unwrap_or_else(|e| panic!("{spec}: {e}"))
+    }
+
     /// The sampling plan at a given instruction budget: defaults scale
     /// the period so a run gets ~50 windows, floored so windows never
     /// overlap and short smoke runs still get a handful of observations.

@@ -2,10 +2,8 @@
 //! both proposed configurations, and the early-release comparator.
 
 use super::common::{save, Args, ExpError, RF_SIZES};
-use super::sweeps::{early_release_renamer, equal_count_renamer};
-use crate::harness::{
-    experiment_config, par_map, run_kernel, run_kernel_with, swept_class, Scheme,
-};
+use super::sweeps::{early_release_config, equal_count_config};
+use crate::harness::{par_map, swept_class, RenamerKind, RunSpec, Scheme};
 use crate::stats::Table;
 use crate::workloads::all_kernels;
 use serde::Serialize;
@@ -32,23 +30,24 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
     // same order (identical floating-point sums) as the serial loop.
     let ipcs = par_map(&points, |&(rf, ref k)| {
         let swept = swept_class(k.suite);
+        let ipc = |spec: RunSpec| args.report(&spec).ipc();
+        let equal_count = equal_count_config(rf, swept);
+        let early_release = early_release_config(rf, swept);
         (
-            run_kernel(k, Scheme::Baseline, rf, args.scale).ipc(),
-            run_kernel(k, Scheme::Proposed, rf, args.scale).ipc(),
-            run_kernel_with(
-                k,
-                equal_count_renamer(rf, swept),
-                experiment_config(args.scale),
+            ipc(RunSpec::scheme(*k, Scheme::Baseline, rf, args.scale)),
+            ipc(RunSpec::scheme(*k, Scheme::Proposed, rf, args.scale)),
+            ipc(RunSpec::new(
+                *k,
+                RenamerKind::Reuse,
+                equal_count,
                 args.scale,
-            )
-            .ipc(),
-            run_kernel_with(
-                k,
-                early_release_renamer(rf, swept),
-                experiment_config(args.scale),
+            )),
+            ipc(RunSpec::new(
+                *k,
+                RenamerKind::EarlyRelease,
+                early_release,
                 args.scale,
-            )
-            .ipc(),
+            )),
         )
     });
     let mut rows = Vec::new();

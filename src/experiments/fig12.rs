@@ -1,7 +1,7 @@
 //! Figure 12: register type predictor accuracy per suite.
 
 use super::common::{pct, save, Args, ExpError};
-use crate::harness::{par_map, run_kernel, Scheme};
+use crate::harness::{par_map, RunSpec, Scheme};
 use crate::stats::Table;
 use crate::workloads::{suite_kernels, Suite};
 use serde::Serialize;
@@ -33,7 +33,8 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
         let mut agg = crate::core::PredictorStats::default();
         let kernels = suite_kernels(suite);
         let stats = par_map(&kernels, |k| {
-            run_kernel(k, Scheme::Proposed, 64, args.scale).predictor
+            args.report(&RunSpec::scheme(*k, Scheme::Proposed, 64, args.scale))
+                .predictor
         });
         for rep in stats {
             agg.reuse_correct += rep.reuse_correct;

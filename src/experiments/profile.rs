@@ -13,7 +13,7 @@
 
 use super::common::{save, Args, ExpError};
 use crate::alloc_track;
-use crate::harness::{experiment_config, renamer_for, run_kernel_with, swept_class, Scheme};
+use crate::harness::{RunSpec, Scheme};
 use crate::sim::{StageProfile, NUM_STAGE_SLOTS, STAGE_SLOT_NAMES};
 use crate::stats::Table;
 use crate::workloads::all_kernels;
@@ -93,14 +93,12 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
     let mut total_seconds = 0.0;
     let mut total_allocations = 0u64;
     for k in all_kernels() {
-        let renamer = renamer_for(Scheme::Proposed, RF_REGS, swept_class(k.suite));
-        let config = crate::sim::SimConfig {
-            profile: true,
-            ..experiment_config(scale)
-        };
+        let mut spec = RunSpec::scheme(k, Scheme::Proposed, RF_REGS, scale);
+        spec.sim.profile = true;
         let allocs_before = alloc_track::allocations();
         let bytes_before = alloc_track::allocated_bytes();
-        let report = run_kernel_with(&k, renamer, config, scale);
+        // Uncached: the report's payload is this run's host time.
+        let report = spec.run().unwrap_or_else(|e| panic!("{spec}: {e}"));
         let allocations = alloc_track::allocations() - allocs_before;
         let allocated_bytes = alloc_track::allocated_bytes() - bytes_before;
         let p: &StageProfile = &report.profile;

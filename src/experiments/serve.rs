@@ -19,6 +19,7 @@
 //! cache be verified at all.
 
 use super::common::{Args, ExpError};
+use crate::core::BankConfig;
 use crate::harness::{experiment_config, renamer_for, swept_class, Scheme};
 use crate::sim::{CancelToken, Pipeline, SimReport};
 use crate::workloads::{all_kernels, Kernel};
@@ -116,6 +117,13 @@ impl JobExecutor for SimExecutor {
         let scheme = scheme_by_name(scheme_name)?;
         if !(16..=512).contains(&rf) {
             return Err(format!("rf {rf} out of range [16, 512]"));
+        }
+        if scheme == Scheme::Proposed && !BankConfig::PAPER_SIZES.contains(&rf) {
+            return Err(format!(
+                "rf {rf} has no Table III equal-area split for the proposed scheme \
+                 (valid: {:?})",
+                BankConfig::PAPER_SIZES
+            ));
         }
 
         let program = kernel.program(scale);

@@ -1,16 +1,12 @@
-//! The shared IPC-sweep harness and comparator renamers used by the
-//! figure 10/10-EC/11 subcommands.
+//! The shared IPC-sweep harness and comparator renamer configurations
+//! used by the figure 10/10-EC/11 subcommands.
 
 use super::common::{save, Args, ExpError, RF_SIZES};
-use crate::core::{
-    BankConfig, EarlyReleaseRenamer, HintPolicy, Renamer, RenamerConfig, ReuseRenamer,
-};
-use crate::harness::{
-    experiment_config, par_map, run_kernel, run_kernel_with, swept_class, Scheme, FIXED_RF,
-};
+use crate::core::{BankConfig, RenamerConfig};
+use crate::harness::{par_map, swept_class, RenamerKind, RunSpec, Scheme, FIXED_RF};
 use crate::isa::RegClass;
 use crate::stats::{geomean, Table};
-use crate::workloads::{all_kernels, Suite};
+use crate::workloads::{all_kernels, Kernel, Suite};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -24,41 +20,39 @@ pub(crate) struct SpeedupRow {
     pub(crate) reuse_pct: f64,
 }
 
-/// Proposed-scheme renamer at the same register *count* as the baseline
-/// (mechanism benefit without the equal-area discount).
-pub(crate) fn equal_count_renamer(rf_regs: usize, swept: RegClass) -> Box<dyn Renamer> {
-    let swept_banks = BankConfig::new(vec![rf_regs - 12, 4, 4, 4]);
+/// `template` with `swept_banks` as the swept file and the other file at
+/// [`FIXED_RF`] conventional registers.
+pub(crate) fn with_swept_banks(
+    template: RenamerConfig,
+    swept: RegClass,
+    swept_banks: BankConfig,
+) -> RenamerConfig {
     let fixed = BankConfig::conventional(FIXED_RF);
     let (int_banks, fp_banks) = match swept {
         RegClass::Int => (swept_banks, fixed),
         RegClass::Fp => (fixed, swept_banks),
     };
-    Box::new(ReuseRenamer::new(RenamerConfig {
+    RenamerConfig {
         int_banks,
         fp_banks,
-        counter_bits: 2,
-        predictor_entries: 512,
-        predictor_bits: 2,
-        speculative_reuse: true,
-        hint_policy: HintPolicy::DynamicOnly,
-        threads: 1,
-    }))
+        ..template
+    }
 }
 
-/// The Moudgill/Monreal-style early-release comparator (related work,
-/// §VII) at the same register count as the baseline.
-pub(crate) fn early_release_renamer(rf_regs: usize, swept: RegClass) -> Box<dyn Renamer> {
-    let fixed = BankConfig::conventional(FIXED_RF);
-    let swept_banks = BankConfig::conventional(rf_regs);
-    let (int_banks, fp_banks) = match swept {
-        RegClass::Int => (swept_banks, fixed),
-        RegClass::Fp => (fixed, swept_banks),
-    };
-    Box::new(EarlyReleaseRenamer::new(RenamerConfig {
-        int_banks,
-        fp_banks,
-        ..RenamerConfig::baseline(rf_regs)
-    }))
+/// Proposed-scheme ([`RenamerKind::Reuse`]) configuration at the same
+/// register *count* as the baseline (mechanism benefit without the
+/// equal-area discount).
+pub(crate) fn equal_count_config(rf_regs: usize, swept: RegClass) -> RenamerConfig {
+    let banks = BankConfig::new(vec![rf_regs - 12, 4, 4, 4]);
+    with_swept_banks(RenamerConfig::baseline(rf_regs), swept, banks)
+}
+
+/// The Moudgill/Monreal-style early-release comparator's configuration
+/// (related work, §VII; [`RenamerKind::EarlyRelease`]) at the same
+/// register count as the baseline.
+pub(crate) fn early_release_config(rf_regs: usize, swept: RegClass) -> RenamerConfig {
+    let banks = BankConfig::conventional(rf_regs);
+    with_swept_banks(RenamerConfig::baseline(rf_regs), swept, banks)
 }
 
 pub(crate) fn speedup_sweep(
@@ -70,22 +64,19 @@ pub(crate) fn speedup_sweep(
     println!("{title}");
     // Every (kernel, size) point is independent; fan out across cores
     // and collect rows back in sweep order.
-    let points: Vec<(crate::workloads::Kernel, usize)> = all_kernels()
+    let points: Vec<(Kernel, usize)> = all_kernels()
         .into_iter()
         .flat_map(|k| RF_SIZES.into_iter().map(move |rf| (k, rf)))
         .collect();
     let rows: Vec<SpeedupRow> = par_map(&points, |&(ref k, rf)| {
-        let base = run_kernel(k, Scheme::Baseline, rf, args.scale);
+        let base = args.report(&RunSpec::scheme(*k, Scheme::Baseline, rf, args.scale));
         let prop = if equal_count {
-            run_kernel_with(
-                k,
-                equal_count_renamer(rf, swept_class(k.suite)),
-                experiment_config(args.scale),
-                args.scale,
-            )
+            let config = equal_count_config(rf, swept_class(k.suite));
+            RunSpec::new(*k, RenamerKind::Reuse, config, args.scale)
         } else {
-            run_kernel(k, Scheme::Proposed, rf, args.scale)
+            RunSpec::scheme(*k, Scheme::Proposed, rf, args.scale)
         };
+        let prop = args.report(&prop);
         SpeedupRow {
             kernel: k.name.into(),
             suite: k.suite.label().into(),

@@ -41,17 +41,19 @@ pub use regshare_workloads as workloads;
 
 pub mod harness {
     //! Shared experiment plumbing: build a renamer for a scheme, run a
-    //! kernel through the timing simulator, and aggregate results.
+    //! kernel through the timing simulator, name a run as a [`RunSpec`]
+    //! and simulate each distinct one once through a [`RunMemo`].
 
-    use regshare_core::{
-        BankConfig, BaselineRenamer, HintPolicy, Renamer, RenamerConfig, ReuseRenamer,
-    };
+    use regshare_core::{BankConfig, BaselineRenamer, Renamer, RenamerConfig, ReuseRenamer};
     use regshare_isa::RegClass;
     use regshare_sim::{
         run_window, sample_windows, Pipeline, SampledConfig, SampledReport, SimConfig, SimReport,
     };
     use regshare_workloads::{Kernel, Suite};
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    mod memo;
+    pub use memo::{RenamerKind, RunMemo, RunSpec};
 
     /// Maps `f` over `items` on a scoped worker pool, one OS thread per
     /// available core, returning results in **input order** no matter
@@ -205,22 +207,6 @@ pub mod harness {
         }
     }
 
-    /// Builds a proposed-scheme renamer with an explicit bank layout
-    /// (used by the ablation studies).
-    pub fn proposed_with_banks(banks: BankConfig, counter_bits: u8) -> Box<dyn Renamer> {
-        let config = RenamerConfig {
-            int_banks: banks.clone(),
-            fp_banks: banks,
-            counter_bits,
-            predictor_entries: 512,
-            predictor_bits: 2,
-            speculative_reuse: true,
-            hint_policy: HintPolicy::DynamicOnly,
-            threads: 1,
-        };
-        Box::new(ReuseRenamer::new(config))
-    }
-
     /// The simulator configuration used by all experiments: Table I
     /// defaults, instruction budget `scale`, generous cycle cap.
     pub fn experiment_config(scale: u64) -> SimConfig {
@@ -249,25 +235,6 @@ pub mod harness {
                 scheme.label(),
                 rf_regs
             ),
-        }
-    }
-
-    /// Runs a kernel with a custom simulator configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation errors.
-    pub fn run_kernel_with(
-        kernel: &Kernel,
-        renamer: Box<dyn Renamer>,
-        config: SimConfig,
-        scale: u64,
-    ) -> SimReport {
-        let program = kernel.program(scale);
-        let mut sim = Pipeline::new(program, renamer, config);
-        match sim.run() {
-            Ok(report) => report,
-            Err(e) => panic!("{}: {e}", kernel.name),
         }
     }
 

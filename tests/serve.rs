@@ -249,6 +249,38 @@ fn forced_timeouts_cancel_the_pipeline_and_dead_letter() {
 }
 
 #[test]
+fn proposed_rf_without_a_table_iii_row_dead_letters_without_a_panic() {
+    let server = Server::start(config("paper-rf"), Arc::new(SimExecutor)).unwrap();
+    let client = Client::new(&format!("127.0.0.1:{}", server.port()));
+
+    // Inside the accepted 16..=512 range, but Table III has no
+    // equal-area bank split for 100 registers.
+    let ids = client
+        .submit(&[sim_payload_scaled("saxpy", "proposed", 100, 1_000)])
+        .unwrap();
+    let rows = client.wait_terminal(&ids, Duration::from_secs(60)).unwrap();
+    assert_eq!(
+        rows[0].get("status").and_then(Value::as_str),
+        Some("dead_lettered")
+    );
+    let err = rows[0].get("error").and_then(Value::as_str).unwrap();
+    assert!(
+        err.contains("rf 100 has no Table III equal-area split")
+            && err.contains("[48, 56, 64, 72, 80, 96, 112]"),
+        "the dead letter names the valid sizes: {err}"
+    );
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get("panics").and_then(Value::as_u64), Some(0));
+    assert_eq!(
+        stats.get("workers_replaced").and_then(Value::as_u64),
+        Some(0)
+    );
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn truncated_journal_replay_finishes_the_remainder() {
     let cfg = config("journal");
     let data_dir = cfg.data_dir.clone();
