@@ -65,7 +65,7 @@ pub struct FuConfig {
 
 /// Full simulator configuration; [`SimConfig::default`] reproduces
 /// Table I of the paper (2 GHz ARM-class core).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Hash, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Resident hardware threads (SMT contexts) sharing the pipeline.
     /// Each thread gets its own rename/retire maps, ROB partition and

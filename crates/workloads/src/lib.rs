@@ -109,14 +109,6 @@ impl fmt::Debug for Kernel {
 }
 
 /// Kernels are identified by their name, which is unique across suites.
-impl PartialEq for Kernel {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-    }
-}
-
-impl Eq for Kernel {}
-
 impl Hash for Kernel {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.name.hash(state);

@@ -117,9 +117,9 @@ pub struct Args {
     pub port: u16,
     /// Job-service state directory (journal + result cache) for `serve`.
     pub data_dir: String,
-    /// The process's detailed runs: every experiment that names its
-    /// points as [`RunSpec`]s asks here, so a point shared between
-    /// experiments simulates once.
+    /// The process's shared detailed runs: the experiments that read
+    /// the paper's (kernel, RF size) grid ask here, so a point shared
+    /// between experiments simulates once.
     pub memo: RunMemo,
 }
 

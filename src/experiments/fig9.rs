@@ -29,7 +29,11 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
     let occupancies = par_map(&kernels, |k| {
         let mut spec = RunSpec::new(*k, RenamerKind::Reuse, config.clone(), args.scale);
         spec.sim.occupancy_sample_interval = 16;
-        args.report(&spec).fp_occupancy.clone()
+        // Uncached: no other experiment samples occupancy, so a memo
+        // entry would only hold these per-cycle samples until exit.
+        spec.run()
+            .unwrap_or_else(|e| panic!("{spec}: {e}"))
+            .fp_occupancy
     });
     // Merge in kernel order so the aggregated sample streams match the
     // serial sweep exactly.

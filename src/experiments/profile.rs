@@ -14,7 +14,7 @@
 use super::common::{save, Args, ExpError};
 use crate::alloc_track;
 use crate::harness::{RunSpec, Scheme};
-use crate::sim::{StageProfile, NUM_STAGE_SLOTS, STAGE_SLOT_NAMES};
+use crate::sim::{Pipeline, StageProfile, NUM_STAGE_SLOTS, STAGE_SLOT_NAMES};
 use crate::stats::Table;
 use crate::workloads::all_kernels;
 use serde::Serialize;
@@ -95,10 +95,16 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
     for k in all_kernels() {
         let mut spec = RunSpec::scheme(k, Scheme::Proposed, RF_REGS, scale);
         spec.sim.profile = true;
+        // The counts cover building the program and the pipeline and the
+        // run, not the renamer or the configuration handed to them.
+        let renamer = spec.renamer.build(spec.config.clone());
+        let config = spec.sim.clone();
         let allocs_before = alloc_track::allocations();
         let bytes_before = alloc_track::allocated_bytes();
         // Uncached: the report's payload is this run's host time.
-        let report = spec.run().unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let report = Pipeline::new(k.program(scale), renamer, config)
+            .run()
+            .unwrap_or_else(|e| panic!("{spec}: {e}"));
         let allocations = alloc_track::allocations() - allocs_before;
         let allocated_bytes = alloc_track::allocated_bytes() - bytes_before;
         let p: &StageProfile = &report.profile;

@@ -24,7 +24,7 @@ pub enum RenamerKind {
 
 impl RenamerKind {
     /// Builds this scheme's renamer.
-    fn build(self, config: RenamerConfig) -> Box<dyn Renamer> {
+    pub fn build(self, config: RenamerConfig) -> Box<dyn Renamer> {
         match self {
             RenamerKind::Baseline => Box::new(BaselineRenamer::new(config)),
             RenamerKind::Reuse => Box::new(ReuseRenamer::new(config)),
@@ -33,10 +33,19 @@ impl RenamerKind {
     }
 }
 
+impl From<Scheme> for RenamerKind {
+    fn from(scheme: Scheme) -> Self {
+        match scheme {
+            Scheme::Baseline => RenamerKind::Baseline,
+            Scheme::Proposed => RenamerKind::Reuse,
+        }
+    }
+}
+
 /// One detailed simulation, named by everything its report depends on:
 /// the kernel and the instruction budget it is built for, the renaming
 /// scheme and its configuration, and the simulated core.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Hash)]
 pub struct RunSpec {
     /// The kernel to run.
     pub kernel: Kernel,
@@ -65,12 +74,8 @@ impl RunSpec {
 
     /// The point [`super::run_kernel`] simulates for the same arguments.
     pub fn scheme(kernel: Kernel, scheme: Scheme, rf_regs: usize, scale: u64) -> Self {
-        let renamer = match scheme {
-            Scheme::Baseline => RenamerKind::Baseline,
-            Scheme::Proposed => RenamerKind::Reuse,
-        };
         let config = renamer_config_for(scheme, rf_regs, swept_class(kernel.suite));
-        RunSpec::new(kernel, renamer, config, scale)
+        RunSpec::new(kernel, scheme.into(), config, scale)
     }
 
     /// Simulates the run. Never cached: every call simulates.

@@ -44,10 +44,10 @@ pub mod harness {
     //! kernel through the timing simulator, name a run as a [`RunSpec`]
     //! and simulate each distinct one once through a [`RunMemo`].
 
-    use regshare_core::{BankConfig, BaselineRenamer, Renamer, RenamerConfig, ReuseRenamer};
+    use regshare_core::{BankConfig, Renamer, RenamerConfig};
     use regshare_isa::RegClass;
     use regshare_sim::{
-        run_window, sample_windows, Pipeline, SampledConfig, SampledReport, SimConfig, SimReport,
+        run_window, sample_windows, SampledConfig, SampledReport, SimConfig, SimReport,
     };
     use regshare_workloads::{Kernel, Suite};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -200,11 +200,7 @@ pub mod harness {
     /// Builds the renamer for a scheme (see [`renamer_config_for`] for
     /// the sizing rules).
     pub fn renamer_for(scheme: Scheme, rf_regs: usize, swept: RegClass) -> Box<dyn Renamer> {
-        let config = renamer_config_for(scheme, rf_regs, swept);
-        match scheme {
-            Scheme::Baseline => Box::new(BaselineRenamer::new(config)),
-            Scheme::Proposed => Box::new(ReuseRenamer::new(config)),
-        }
+        RenamerKind::from(scheme).build(renamer_config_for(scheme, rf_regs, swept))
     }
 
     /// The simulator configuration used by all experiments: Table I
@@ -224,18 +220,16 @@ pub mod harness {
     /// Panics if the simulation errors (oracle mismatch, deadlock) — an
     /// experiment must never silently drop a run.
     pub fn run_kernel(kernel: &Kernel, scheme: Scheme, rf_regs: usize, scale: u64) -> SimReport {
-        let program = kernel.program(scale);
-        let renamer = renamer_for(scheme, rf_regs, swept_class(kernel.suite));
-        let mut sim = Pipeline::new(program, renamer, experiment_config(scale));
-        match sim.run() {
-            Ok(report) => report,
-            Err(e) => panic!(
-                "{} ({}, {} regs): {e}",
-                kernel.name,
-                scheme.label(),
-                rf_regs
-            ),
-        }
+        RunSpec::scheme(*kernel, scheme, rf_regs, scale)
+            .run()
+            .unwrap_or_else(|e| {
+                panic!(
+                    "{} ({}, {} regs): {e}",
+                    kernel.name,
+                    scheme.label(),
+                    rf_regs
+                )
+            })
     }
 
     /// Runs one kernel through the two-speed engine: a sequential

@@ -13,8 +13,7 @@ use std::sync::{Arc, Barrier};
 
 const SCALE: u64 = 4_000;
 
-/// The experiments whose detailed runs go through the memo, fig9 aside
-/// (its points are its own).
+/// The experiments whose detailed runs go through the memo.
 const MEMOISED: [&str; 9] = [
     "fig10",
     "fig10ec",
