@@ -370,12 +370,13 @@ impl Default for RenameStats {
 ///
 /// # Hardware threads
 ///
-/// A scheme that maintains multiple thread contexts ([`Renamer::threads`]
-/// > 1) keeps one map table, retire map and checkpoint stack per
-/// [`HartId`] over the shared free lists and PRT. The `*_on` methods take
-/// the hart explicitly; the un-suffixed convenience forms operate on hart
-/// 0 and exist so single-threaded callers read naturally. Commit order
-/// must be sequence order *within* each hart (harts interleave freely).
+/// A scheme that maintains more than one thread context
+/// ([`Renamer::threads`]) keeps one map table, retire map and checkpoint
+/// stack per [`HartId`] over the shared free lists and PRT. The `*_on`
+/// methods take the hart explicitly; the un-suffixed convenience forms
+/// operate on hart 0 and exist so single-threaded callers read naturally.
+/// Commit order must be sequence order *within* each hart (harts
+/// interleave freely).
 pub trait Renamer {
     /// Hardware-thread contexts this scheme instance maintains.
     fn threads(&self) -> usize {

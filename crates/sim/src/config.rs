@@ -406,9 +406,13 @@ mod tests {
         reject(SimConfig::default().with_threads(0), "threads");
         reject(SimConfig::default().with_threads(MAX_HARTS + 1), "threads");
         reject(SimConfig::default().with_width(0), "fetch_width");
-        let mut c = SimConfig::default();
-        c.commit_width = 0;
-        reject(c, "commit_width");
+        reject(
+            SimConfig {
+                commit_width: 0,
+                ..SimConfig::default()
+            },
+            "commit_width",
+        );
         let mut c = SimConfig::default().with_threads(4);
         c.rob_entries = 8;
         reject(c, "rob_entries");

@@ -83,8 +83,8 @@ pub use policy::{
 pub use profile::{StageProfile, StageSlot, StageTimer, NUM_STAGE_SLOTS, STAGE_SLOT_NAMES};
 pub use report::SimReport;
 pub use sampled::{
-    run_window, sample_windows, window_specs, SampledConfig, SampledReport, WindowJob,
-    WindowResult, WindowSpec, DEFAULT_BATCH, DEFAULT_LEAD,
+    run_window, run_window_schemes, sample_windows, window_specs, SampledConfig, SampledReport,
+    WindowJob, WindowResult, WindowSpec, DEFAULT_BATCH, DEFAULT_LEAD,
 };
 pub use scoreboard::Scoreboard;
 pub use warm::{Checkpoint, FunctionalWarmer, MemWarm, Warmable};

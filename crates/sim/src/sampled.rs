@@ -5,14 +5,21 @@
 //! period. The engine makes **one** sequential functional pass over the
 //! stream ([`FunctionalWarmer`]), snapshotting a [`Checkpoint`] a short
 //! *lead* before each window; each window then runs independently from
-//! its checkpoint clone — functional lead (warming the branch and reuse
+//! its checkpoint — functional lead (warming the branch and reuse
 //! predictors), detailed warmup (timing discarded), detailed measurement
 //! (one IPC observation into a [`Welford`] estimator).
 //!
-//! Because every window starts from a checkpoint *clone* at a position
-//! that is a pure function of the plan, a window's result depends only
-//! on `(program, plan, config)` — never on which worker ran it or in
-//! what order. That is the determinism argument behind time-parallel
+//! The lead's instruction stream does not depend on the renaming scheme,
+//! so [`run_window_schemes`] replays it once for every scheme measured
+//! from one checkpoint: each scheme then starts its detailed phases from
+//! the same warmed machine, memory and branch predictor, with the reuse
+//! predictors its own config trained. [`run_window`] is its one-scheme
+//! case.
+//!
+//! Because every window starts from a checkpoint at a position that is
+//! a pure function of the plan, a window's result depends only on
+//! `(program, plan, config)` — never on which worker ran it or in what
+//! order. That is the determinism argument behind time-parallel
 //! slicing: results are byte-identical for any worker count.
 //!
 //! Checkpoints are materialized in bounded batches (a clone holds the
@@ -24,7 +31,8 @@ use crate::bpred::BranchPredictor;
 use crate::warm::{Checkpoint, FunctionalWarmer, Warmable};
 use crate::{Pipeline, SimConfig, SimError};
 use regshare_core::{Renamer, RenamerConfig, ReuseWarmer};
-use regshare_isa::Program;
+use regshare_isa::{Machine, Program};
+use regshare_mem::MemoryHierarchy;
 use regshare_stats::{SamplePlan, Welford};
 
 /// Functional lead-in instructions warming the small predictors before
@@ -124,7 +132,8 @@ impl WindowResult {
 /// detailed warmup → detailed measurement.
 ///
 /// The caller provides a *fresh* renamer; the lead-warmed reuse
-/// predictors are installed into it before the pipeline starts.
+/// predictors are installed into it before the pipeline starts. This is
+/// [`run_window_schemes`] for one scheme, on a clone of the job.
 ///
 /// # Errors
 ///
@@ -136,26 +145,63 @@ impl WindowResult {
 /// functional execution fault during the lead (program bug).
 pub fn run_window(
     job: &WindowJob,
-    mut renamer: Box<dyn Renamer>,
+    renamer: Box<dyn Renamer>,
     renamer_config: &RenamerConfig,
-    mut config: SimConfig,
+    config: SimConfig,
 ) -> Result<WindowResult, SimError> {
-    let spec = job.spec;
+    run_window_schemes(job.clone(), vec![(renamer, renamer_config)], &config)
+        .pop()
+        .expect("one result per scheme")
+}
+
+/// Runs one detailed window for several schemes from one functional
+/// lead, returning one result per scheme in input order.
+///
+/// Each scheme is a *fresh* renamer plus the config its reuse predictors
+/// are sized by. The lead warms one memory state, one branch predictor
+/// and one [`ReuseWarmer`] per scheme config; every scheme then runs its
+/// detailed warmup and measurement from that warmed state, with its own
+/// config's predictors installed. Each scheme's result is therefore the
+/// one a lead of its own would give, at one lead's cost.
+///
+/// # Errors
+///
+/// A scheme whose detailed simulation fails gets its [`SimError`] in its
+/// slot; the other schemes still run.
+///
+/// # Panics
+///
+/// Panics if the checkpoint is not at `spec.start - spec.lead`, or on a
+/// functional execution fault during the lead (program bug).
+pub fn run_window_schemes(
+    job: WindowJob,
+    schemes: Vec<(Box<dyn Renamer>, &RenamerConfig)>,
+    config: &SimConfig,
+) -> Vec<Result<WindowResult, SimError>> {
+    let WindowJob { checkpoint, spec } = job;
     assert_eq!(
-        job.checkpoint.instruction,
+        checkpoint.instruction,
         spec.start - spec.lead,
         "checkpoint not at the window's lead start"
     );
-    let mut machine = job.checkpoint.machine.clone();
-    let mut mem = job.checkpoint.mem.clone();
+    let Checkpoint {
+        mut machine,
+        mut mem,
+        ..
+    } = checkpoint;
     let mut bpred = BranchPredictor::new(config.bpred);
-    let mut reuse = ReuseWarmer::new(renamer_config);
+    let mut reuse: Vec<ReuseWarmer> = schemes
+        .iter()
+        .map(|(_, rcfg)| ReuseWarmer::new(rcfg))
+        .collect();
     if spec.lead > 0 && !machine.is_halted() {
         machine
             .run_observe(spec.start, |r| {
                 mem.warm_retired(r);
                 bpred.warm_retired(r);
-                reuse.warm_retired(r);
+                for w in &mut reuse {
+                    w.warm_retired(r);
+                }
             })
             .expect("functional lead execution");
     }
@@ -165,15 +211,46 @@ pub fn run_window(
         // IPC estimator by the caller. This arises when a clamped lead
         // hides the halt from the warming pass's own halt check (the
         // checkpoint sits before the halt, the window start after it).
-        return Ok(WindowResult {
+        let empty = WindowResult {
             start: spec.start,
             instructions: 0,
             cycles: 0,
             uops: 0,
             wall_seconds: 0.0,
-        });
+        };
+        return schemes.iter().map(|_| Ok(empty)).collect();
     }
-    renamer.install_predictors(reuse.predictor(), reuse.single_use());
+    let last = schemes.len().saturating_sub(1);
+    let mut warmed = Some((mem.into_hierarchy(), bpred));
+    schemes
+        .into_iter()
+        .zip(&reuse)
+        .enumerate()
+        .map(|(i, ((mut renamer, _), predictors))| {
+            // Every scheme but the last runs on a clone of the warmed
+            // state; the last takes it.
+            let (mem, bpred) = if i == last {
+                warmed.take()
+            } else {
+                warmed.clone()
+            }
+            .expect("warmed state outlives the schemes");
+            renamer.install_predictors(predictors.predictor(), predictors.single_use());
+            run_detailed(&machine, mem, bpred, renamer, config.clone(), spec)
+        })
+        .collect()
+}
+
+/// The detailed half of a window, from the lead-warmed state: warmup
+/// (timing discarded), then measurement.
+fn run_detailed(
+    machine: &Machine,
+    mem: MemoryHierarchy,
+    bpred: BranchPredictor,
+    renamer: Box<dyn Renamer>,
+    mut config: SimConfig,
+    spec: WindowSpec,
+) -> Result<WindowResult, SimError> {
     // The budget is window-local: the pipeline starts at zero committed
     // instructions regardless of the checkpoint's stream position.
     config.max_instructions = if spec.warmup > 0 {
@@ -181,8 +258,7 @@ pub fn run_window(
     } else {
         spec.measure
     };
-    let mut pipe =
-        Pipeline::from_checkpoint(&machine, mem.into_hierarchy(), bpred, renamer, config);
+    let mut pipe = Pipeline::from_checkpoint(machine, mem, bpred, renamer, config);
     let warm_report = if spec.warmup > 0 {
         let r = pipe.run()?;
         pipe.set_max_instructions(spec.warmup + spec.measure);
@@ -425,6 +501,78 @@ mod tests {
         let r = sampled(false, 8_000);
         assert_eq!(r.windows.len(), 4);
         assert!(r.ipc_mean() > 0.1);
+    }
+
+    #[test]
+    fn shared_lead_matches_one_lead_per_scheme() {
+        // sad at 48 registers: a kernel on which the two schemes time
+        // differently, so a result handed to the wrong scheme shows.
+        let kernel = regshare_workloads::all_kernels()
+            .into_iter()
+            .find(|k| k.name == "sad")
+            .expect("sad kernel");
+        let program = kernel.program(20_000);
+        let config = SimConfig {
+            check_oracle: true,
+            max_cycles: 0,
+            ..SimConfig::default()
+        };
+        let schemes = [RenamerConfig::baseline(48), RenamerConfig::paper(48)];
+        let fresh = |s: usize| -> Box<dyn Renamer> {
+            if s == 0 {
+                Box::new(BaselineRenamer::new(schemes[0].clone()))
+            } else {
+                Box::new(ReuseRenamer::new(schemes[1].clone()))
+            }
+        };
+        let mut warmer = FunctionalWarmer::new(program, &config);
+        let mut to_halt = warmer.clone();
+        to_halt.run_until(u64::MAX).expect("functional run");
+        let halt = to_halt.retired();
+        let spec = |start: u64| WindowSpec {
+            start,
+            lead: start.min(2_000),
+            warmup: 200,
+            measure: 1_000,
+        };
+        // A lead clamped at the stream's start, a full lead, and a lead
+        // from before the halt to a start after it.
+        let cases = [
+            (spec(1_000), true),
+            (spec(6_000), true),
+            (spec(halt + 1_000), false),
+        ];
+        for (spec, measures) in cases {
+            warmer.run_until(spec.start - spec.lead).expect("warming");
+            assert_eq!(warmer.retired(), spec.start - spec.lead);
+            let job = WindowJob {
+                checkpoint: warmer.checkpoint(),
+                spec,
+            };
+            let host_free = |r: WindowResult| WindowResult {
+                wall_seconds: 0.0,
+                ..r
+            };
+            let shared: Vec<WindowResult> = run_window_schemes(
+                job.clone(),
+                vec![(fresh(0), &schemes[0]), (fresh(1), &schemes[1])],
+                &config,
+            )
+            .into_iter()
+            .map(|r| host_free(r.expect("shared-lead window")))
+            .collect();
+            let separate: Vec<WindowResult> = (0..2)
+                .map(|s| {
+                    let r = run_window(&job, fresh(s), &schemes[s], config.clone());
+                    host_free(r.expect("one-scheme window"))
+                })
+                .collect();
+            assert_eq!(shared, separate, "window at {}", spec.start);
+            for r in &shared {
+                assert_eq!(r.cycles > 0, measures, "window at {}", spec.start);
+            }
+            assert_eq!(shared[0] != shared[1], measures, "schemes must differ");
+        }
     }
 
     #[test]

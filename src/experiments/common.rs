@@ -103,8 +103,9 @@ pub struct Args {
     /// Run through the two-speed sampled engine (`all` then dispatches
     /// the reduced sampled registry).
     pub sample: bool,
-    /// Worker threads for time-parallel window slicing (`None` = one per
-    /// core; results are identical either way).
+    /// Worker threads: the kernels `sample` runs at once, or the
+    /// `serve` job pool (`None` = one per core; results are identical
+    /// either way).
     pub workers: Option<usize>,
     /// Override: instructions between sampled-window starts.
     pub period: Option<u64>,

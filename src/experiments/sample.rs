@@ -1,21 +1,26 @@
 //! Sampled per-kernel IPC through the two-speed engine: one sequential
-//! functional-warming pass per kernel feeds periodic detailed windows
-//! (both schemes measured from the *same* checkpoints), the windows of
-//! each batch sliced across worker threads. Reports mean IPC with a 95%
-//! confidence interval — the mode that scales to 10⁹-instruction runs.
+//! functional-warming pass per kernel feeds periodic detailed windows,
+//! both schemes measured from the *same* checkpoint after one shared
+//! functional lead. Kernels are spread across worker threads, each
+//! kernel's windows running inline on the worker that warms it. Reports
+//! mean IPC with a 95% confidence interval — the mode that scales to
+//! 10⁹-instruction runs.
 
 use super::common::{save, Args, ExpError};
 use crate::harness::{
     experiment_config, par_map_with, renamer_config_for, renamer_for, swept_class, Scheme,
 };
-use crate::sim::{run_window, sample_windows, SampledConfig, WindowResult};
+use crate::sim::{run_window_schemes, sample_windows, SampledConfig, SampledReport, WindowResult};
 use crate::stats::{Table, Welford};
-use crate::workloads::all_kernels;
+use crate::workloads::{all_kernels, Kernel};
 use serde::Serialize;
 
 /// Swept-file size used for the sampled comparison (the paper's
 /// headline 64-register point).
 const RF_REGS: usize = 64;
+
+/// The schemes each window measures, in row order.
+const SCHEMES: [Scheme; 2] = [Scheme::Baseline, Scheme::Proposed];
 
 #[derive(Serialize)]
 struct SampleRow {
@@ -46,6 +51,46 @@ fn aggregate(windows: &[WindowResult]) -> (Welford, u64) {
     (ipc, instructions)
 }
 
+/// One kernel's sampled run: the baseline's windows and the proposed
+/// scheme's report, both measured from each window's shared lead.
+fn sample_kernel(
+    k: &Kernel,
+    scale: u64,
+    sample: &SampledConfig,
+) -> (Vec<WindowResult>, SampledReport) {
+    let swept = swept_class(k.suite);
+    let rconfigs = SCHEMES.map(|s| renamer_config_for(s, RF_REGS, swept));
+    let config = experiment_config(scale);
+    let mut base_windows: Vec<WindowResult> = Vec::new();
+    let prop = sample_windows(&k.program(scale), &config, sample, scale, |jobs| {
+        jobs.into_iter()
+            .map(|job| {
+                let start = job.spec.start;
+                let schemes = SCHEMES
+                    .iter()
+                    .zip(&rconfigs)
+                    .map(|(&s, rcfg)| (renamer_for(s, RF_REGS, swept), rcfg))
+                    .collect();
+                let results: Vec<WindowResult> = run_window_schemes(job, schemes, &config)
+                    .into_iter()
+                    .zip(SCHEMES)
+                    .map(|(r, s)| {
+                        r.unwrap_or_else(|e| {
+                            panic!("{} ({}) window at {start}: {e}", k.name, s.label())
+                        })
+                    })
+                    .collect();
+                let [base, prop] = results[..] else {
+                    unreachable!("one result per scheme")
+                };
+                base_windows.push(base);
+                prop
+            })
+            .collect()
+    });
+    (base_windows, prop)
+}
+
 /// Runs the experiment and writes `sampled.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
     let scale = args.scale;
@@ -58,44 +103,16 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
         "kernel", "suite", "windows", "base IPC", "±95%", "prop IPC", "±95%", "speedup",
     ]);
     table.numeric();
+    // Each window runs as soon as its checkpoint is taken, on the worker
+    // warming its kernel, so a worker holds one checkpoint at a time.
+    let sample = SampledConfig {
+        batch: 1,
+        ..SampledConfig::new(plan)
+    };
+    let kernels = all_kernels();
+    let sampled = par_map_with(&kernels, args.workers, |k| sample_kernel(k, scale, &sample));
     let mut rows = Vec::new();
-    for k in all_kernels() {
-        let swept = swept_class(k.suite);
-        let bcfg = renamer_config_for(Scheme::Baseline, RF_REGS, swept);
-        let pcfg = renamer_config_for(Scheme::Proposed, RF_REGS, swept);
-        let config = experiment_config(scale);
-        let sample_cfg = SampledConfig::new(plan);
-        // Both schemes measure from the same checkpoints, so the
-        // (expensive) sequential warming pass is paid once per kernel.
-        let mut base_windows: Vec<WindowResult> = Vec::new();
-        let prop = sample_windows(&k.program(scale), &config, &sample_cfg, scale, |jobs| {
-            let pairs = par_map_with(&jobs, args.workers, |job| {
-                let run = |scheme: Scheme, rcfg| {
-                    run_window(
-                        job,
-                        renamer_for(scheme, RF_REGS, swept),
-                        rcfg,
-                        config.clone(),
-                    )
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "{} ({}) window at {}: {e}",
-                            k.name,
-                            scheme.label(),
-                            job.spec.start
-                        )
-                    })
-                };
-                (run(Scheme::Baseline, &bcfg), run(Scheme::Proposed, &pcfg))
-            });
-            pairs
-                .into_iter()
-                .map(|(b, p)| {
-                    base_windows.push(b);
-                    p
-                })
-                .collect()
-        });
+    for (k, (base_windows, prop)) in kernels.iter().zip(sampled) {
         let (base_ipc, base_instructions) = aggregate(&base_windows);
         let speedup = if base_ipc.mean() > 0.0 {
             prop.ipc_mean() / base_ipc.mean()

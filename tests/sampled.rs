@@ -6,10 +6,13 @@
 //! periodic measured windows over a functionally-warmed stream; its
 //! whole claim is that the window-mean IPC estimates the full-run IPC.
 //! These tests check that claim end to end at a scale (10⁵) where the
-//! full detailed run is still affordable.
+//! full detailed run is still affordable, and that the `sample`
+//! experiment writes the same bytes for any worker count.
 
+use regshare::experiments::{registry, Args};
 use regshare::harness::{run_kernel, run_kernel_sampled, Scheme};
-use regshare::sim::SampledConfig;
+use regshare::isa::Machine;
+use regshare::sim::{SampledConfig, DEFAULT_LEAD};
 use regshare::stats::SamplePlan;
 use regshare::workloads::all_kernels;
 
@@ -71,4 +74,59 @@ fn sampled_report_accounts_for_both_speeds() {
     let live = r.windows.iter().filter(|w| w.cycles > 0).count() as u64;
     assert_eq!(r.ipc.count(), live);
     assert!(live >= 2, "expected several live windows at this scale");
+}
+
+#[test]
+fn sample_experiment_writes_the_same_bytes_for_any_worker_count() {
+    // Five windows of 200 + 800 instructions over 2·10⁴: every lead is
+    // clamped to its window's start, so each window replays the stream
+    // from instruction 0.
+    const SCALE: u64 = 20_000;
+    let (period, warmup, measure) = (4_000, 200, 800);
+    let last_start = *SamplePlan::new(period, warmup, measure)
+        .window_starts(SCALE)
+        .last()
+        .expect("windows");
+    assert!(last_start < DEFAULT_LEAD);
+    // Some kernels halt before their last window starts, so that
+    // window's lead runs into the halt and reports zero cycles.
+    let halting = all_kernels()
+        .iter()
+        .filter(|k| {
+            let mut m = Machine::new(k.program(SCALE));
+            m.run(last_start).expect("functional run");
+            m.is_halted()
+        })
+        .count();
+    assert!(halting > 0, "no window's lead reaches a halt");
+
+    let (_, sample) = registry()
+        .into_iter()
+        .find(|(name, _)| *name == "sample")
+        .expect("sample is registered");
+    let written: Vec<Vec<u8>> = [1, 2, 8]
+        .into_iter()
+        .map(|workers| {
+            let out = std::env::temp_dir().join(format!(
+                "regshare-sampled-test-{workers}-{}",
+                std::process::id()
+            ));
+            let args = Args {
+                exps: vec!["sample".into()],
+                scale: SCALE,
+                out_dir: out.display().to_string(),
+                workers: Some(workers),
+                period: Some(period),
+                warmup: Some(warmup),
+                measure: Some(measure),
+                ..Args::default()
+            };
+            sample(&args).expect("sample experiment");
+            let bytes = std::fs::read(out.join("sampled.json")).expect("sampled.json");
+            let _ = std::fs::remove_dir_all(&out);
+            bytes
+        })
+        .collect();
+    assert!(written[0] == written[1], "1 and 2 workers differ");
+    assert!(written[0] == written[2], "1 and 8 workers differ");
 }
