@@ -6,7 +6,11 @@
 #   2. submit the same sweep twice — the second pass must be answered
 #      >=90% from the verified result cache,
 #   3. SIGTERM the service mid-batch, restart it, and require the
-#      journal replay to finish the interrupted remainder.
+#      journal replay to finish the interrupted remainder,
+#   4. drain the restarted service with `POST /shutdown`.
+#
+# Both drains must end the process within 30 s, so a drain that never
+# wakes the accept loop fails the script instead of hanging it.
 #
 # Every submit pass also byte-compares served results against direct
 # in-process runs (that check lives in the `submit` subcommand itself).
@@ -59,6 +63,18 @@ stats() {
     curl -sf "http://127.0.0.1:$PORT/stats"
 }
 
+# Waits up to 30 s for the service to exit after the drain named in $1.
+wait_exit() {
+    i=0
+    while kill -0 "$SERVE_PID" 2>/dev/null; do
+        [ $i -lt 300 ] || fail "service still running 30 s after $1"
+        i=$((i + 1))
+        sleep 0.1
+    done
+    wait "$SERVE_PID" 2>/dev/null || true
+    SERVE_PID=""
+}
+
 # --- 1. cold pass: everything computed --------------------------------
 start_serve
 "$BIN" submit --port "$PORT" --kernels "$KERNELS" --scale "$SCALE" \
@@ -81,8 +97,7 @@ echo "smoke: warm pass served $hits/$total jobs from cache"
 SUBMIT_PID=$!
 sleep 1
 kill -TERM "$SERVE_PID"
-wait "$SERVE_PID" 2>/dev/null || true
-SERVE_PID=""
+wait_exit "SIGTERM"
 wait "$SUBMIT_PID" 2>/dev/null || true  # client fails once the listener dies
 
 start_serve
@@ -94,15 +109,18 @@ echo "smoke: restart replayed $recovered journaled job(s)"
 
 # The replayed remainder must drain to zero pending work.
 i=0
-while [ $i -lt 600 ]; do
+while :; do
     pending=$(stats | python3 -c \
         'import json,sys; j=json.load(sys.stdin)["jobs"]; print(j["queued"]+j["running"])' \
         2>/dev/null || echo "")
-    if [ "$pending" = "0" ]; then
-        echo "smoke: replayed remainder drained"
-        exit 0
-    fi
+    [ "$pending" = "0" ] && break
     i=$((i + 1))
+    [ $i -lt 600 ] || fail "replayed jobs never drained"
     sleep 0.5
 done
-fail "replayed jobs never drained"
+echo "smoke: replayed remainder drained"
+
+# --- 4. drain the restarted service over the API ------------------------
+curl -sf -X POST "http://127.0.0.1:$PORT/shutdown" >/dev/null || fail "POST /shutdown"
+wait_exit "POST /shutdown"
+echo "smoke: service drained and exited"

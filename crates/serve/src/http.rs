@@ -7,7 +7,8 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-/// Upper bound on the header block (guards against a stuck client).
+/// Upper bound on the header block, request line included (guards
+/// against a stuck or hostile client).
 const MAX_HEADER_BYTES: usize = 64 * 1024;
 
 /// Upper bound on a request body.
@@ -24,30 +25,42 @@ pub struct Request {
     pub body: String,
 }
 
+/// Reads one line of the header block, never more than the `budget`
+/// left of [`MAX_HEADER_BYTES`], so a line without a newline cannot
+/// grow past the cap before it is checked.
+fn read_header_line(
+    reader: &mut impl BufRead,
+    budget: &mut usize,
+    what: &str,
+) -> Result<String, String> {
+    let mut line = String::new();
+    let n = reader
+        .take(*budget as u64)
+        .read_line(&mut line)
+        .map_err(|e| format!("read {what}: {e}"))?;
+    if n == *budget && !line.ends_with('\n') {
+        return Err(format!(
+            "header block exceeds the {MAX_HEADER_BYTES}-byte cap"
+        ));
+    }
+    *budget -= n;
+    Ok(line)
+}
+
 /// Reads one request from the stream. `Err` strings describe malformed
 /// or oversized input; the caller answers 400 and closes.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read request line: {e}"))?;
+    let mut budget = MAX_HEADER_BYTES;
+    let line = read_header_line(&mut reader, &mut budget, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();
     let target = parts.next().ok_or("request line missing target")?;
     let path = target.split('?').next().unwrap_or(target).to_string();
 
     let mut content_length = 0usize;
-    let mut header_bytes = line.len();
     loop {
-        let mut h = String::new();
-        reader
-            .read_line(&mut h)
-            .map_err(|e| format!("read header: {e}"))?;
-        header_bytes += h.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err("header block too large".into());
-        }
+        let h = read_header_line(&mut reader, &mut budget, "header")?;
         let h = h.trim_end();
         if h.is_empty() {
             break;
@@ -145,6 +158,31 @@ mod tests {
     fn rejects_truncated_body() {
         let err = round_trip("POST /jobs HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort").unwrap_err();
         assert!(err.contains("read body"), "{err}");
+    }
+
+    #[test]
+    fn rejects_request_line_past_header_cap() {
+        // More than the cap with no newline, on a connection that stays
+        // open: the reader must stop at the cap instead of buffering
+        // until a newline or EOF (the read timeout fails the test then).
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let writer = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            let _ = s.write_all("x".repeat(MAX_HEADER_BYTES + 1).as_bytes());
+            let _ = finished.recv();
+        });
+        let (mut conn, _) = listener.accept().unwrap();
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let err = read_request(&mut conn).unwrap_err();
+        drop(done);
+        writer.join().unwrap();
+        assert_eq!(
+            err,
+            format!("header block exceeds the {MAX_HEADER_BYTES}-byte cap")
+        );
     }
 
     #[test]

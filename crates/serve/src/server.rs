@@ -21,7 +21,7 @@ use crate::worker::WorkerPool;
 use crate::ServeConfig;
 use serde::Value;
 use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -51,6 +51,10 @@ pub fn install_signal_handlers() {
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
+    // SAFETY: `on_signal` does one atomic store, which is
+    // async-signal-safe, and the declared `signal(2)` signature (int,
+    // handler pointer; returns the previous handler as a word) matches
+    // the unix C ABI.
     unsafe {
         signal(SIGTERM, on_signal);
         signal(SIGINT, on_signal);
@@ -66,7 +70,9 @@ pub fn install_signal_handlers() {
 /// A running service instance.
 pub struct Server {
     shared: Arc<Shared>,
-    port: u16,
+    /// Where [`Server::join`] connects to wake the acceptor: the bound
+    /// address, with an unspecified IP mapped to its family's loopback.
+    wake: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
     pool: WorkerPool,
 }
@@ -336,8 +342,13 @@ impl Server {
         }
 
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let port = listener.local_addr()?.port();
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
 
         let version = executor.version();
         let shared = Arc::new(Shared {
@@ -367,19 +378,21 @@ impl Server {
             std::thread::Builder::new()
                 .name("serve-accept".into())
                 .spawn(move || loop {
-                    match listener.accept() {
+                    // Blocks until a client connects; once the pool is
+                    // done, the connection `join` opens ends the loop.
+                    let accepted = listener.accept();
+                    if shared.pool_done.load(Ordering::Acquire) {
+                        break;
+                    }
+                    match accepted {
                         Ok((stream, _)) => {
                             let shared = Arc::clone(&shared);
                             let _ = std::thread::Builder::new()
                                 .name("serve-conn".into())
                                 .spawn(move || serve_connection(shared, stream));
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            if shared.pool_done.load(Ordering::Acquire) {
-                                break;
-                            }
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
+                        // A persistent error such as EMFILE returns at
+                        // once: back off so the loop cannot spin.
                         Err(_) => std::thread::sleep(Duration::from_millis(5)),
                     }
                 })
@@ -388,7 +401,7 @@ impl Server {
 
         Ok(Server {
             shared,
-            port,
+            wake,
             acceptor: Some(acceptor),
             pool,
         })
@@ -396,7 +409,7 @@ impl Server {
 
     /// The bound port (useful with ephemeral binds).
     pub fn port(&self) -> u16 {
-        self.port
+        self.wake.port()
     }
 
     /// Number of jobs re-queued from the journal at startup.
@@ -423,6 +436,10 @@ impl Server {
     pub fn join(mut self) {
         self.pool.join();
         if let Some(h) = self.acceptor.take() {
+            // `std` has no accept timeout, so one connection wakes the
+            // acceptor, which now sees `pool_done`. A failed connect
+            // means the listener has already closed.
+            let _ = TcpStream::connect(self.wake);
             let _ = h.join();
         }
     }

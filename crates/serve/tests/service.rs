@@ -1,14 +1,16 @@
 //! End-to-end exercises of the job service with controllable toy
 //! executors: the happy path, cache hits, retry-then-succeed, panic
 //! isolation + worker replacement, deadline cancellation, backpressure,
-//! and journal-replay recovery. The root crate's `tests/serve.rs` runs
-//! the same machinery against the real simulator.
+//! journal-replay recovery, and the drain's wake-up of an idle accept
+//! loop. The root crate's `tests/serve.rs` runs the same machinery
+//! against the real simulator.
 
 use regshare_serve::{Client, JobExecutor, ServeConfig, Server};
 use serde::Value;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -367,4 +369,31 @@ fn healthz_flips_to_draining() {
         .unwrap();
     assert_eq!(status, 503);
     server.join();
+}
+
+#[test]
+fn drain_wakes_an_idle_acceptor_on_an_unspecified_address() {
+    let cfg = ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        ..config("wake")
+    };
+    let server = Server::start(cfg, Arc::new(Echo)).unwrap();
+    let port = server.port();
+    // No client ever connects: only the drain's own connection can get
+    // the acceptor out of `accept`. A lost wake-up fails the wait below
+    // instead of hanging the test run.
+    server.shutdown();
+    let (done, joined) = mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        server.join();
+        let _ = done.send(());
+    });
+    joined
+        .recv_timeout(Duration::from_secs(30))
+        .expect("join returns once the acceptor is woken");
+    joiner.join().unwrap();
+    assert!(
+        TcpStream::connect(("127.0.0.1", port)).is_err(),
+        "the listener is closed after join"
+    );
 }
