@@ -519,8 +519,6 @@ impl Pipeline {
             int_occupancy: self.core.int_occupancy.clone(),
             fp_occupancy: self.core.fp_occupancy.clone(),
             wall_seconds: self.core.wall_seconds,
-            warm_seconds: 0.0,
-            warm_instructions: 0,
             profile: self.core.profile.clone(),
         }
     }

@@ -58,13 +58,6 @@ pub struct SimReport {
     ///
     /// [`Pipeline::run`]: crate::Pipeline::run
     pub wall_seconds: f64,
-    /// Host wall-clock seconds spent in functional warming (0 for plain
-    /// detailed runs). `wall_seconds` covers detailed simulation only, so
-    /// a two-speed run's total time is `wall_seconds + warm_seconds`.
-    pub warm_seconds: f64,
-    /// Instructions executed by the functional-warming fast path (0 for
-    /// plain detailed runs).
-    pub warm_instructions: u64,
     /// Per-stage cost attribution: deterministic work counters always,
     /// host-time shares when [`crate::SimConfig::profile`] was set.
     pub profile: crate::StageProfile,
@@ -114,16 +107,6 @@ impl SimReport {
             0.0
         } else {
             self.committed_instructions as f64 / self.wall_seconds
-        }
-    }
-
-    /// Functional-warming throughput: warmed instructions per host
-    /// wall-second of warming (0 for plain detailed runs).
-    pub fn warm_instructions_per_second(&self) -> f64 {
-        if self.warm_seconds <= 0.0 {
-            0.0
-        } else {
-            self.warm_instructions as f64 / self.warm_seconds
         }
     }
 }
@@ -181,19 +164,7 @@ impl fmt::Display for SimReport {
             self.instructions_per_second(),
             self.uops_per_second(),
             self.cycles_per_second()
-        )?;
-        if self.warm_instructions > 0 {
-            write!(
-                f,
-                "\nwarming: {:.3}s for {} insts ({:.0} insts/s); detailed {:.3}s ({:.1}% of total)",
-                self.warm_seconds,
-                self.warm_instructions,
-                self.warm_instructions_per_second(),
-                self.wall_seconds,
-                100.0 * self.wall_seconds / (self.wall_seconds + self.warm_seconds).max(1e-12),
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -224,8 +195,6 @@ mod tests {
             int_occupancy: Vec::new(),
             fp_occupancy: Vec::new(),
             wall_seconds: 0.0,
-            warm_seconds: 0.0,
-            warm_instructions: 0,
             profile: Default::default(),
         }
     }
@@ -270,21 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn warming_split_appears_when_present() {
-        let mut r = empty();
-        assert!(!format!("{r}").contains("warming:"));
-        r.warm_instructions = 1_000_000;
-        r.warm_seconds = 0.5;
-        assert!((r.warm_instructions_per_second() - 2_000_000.0).abs() < 1e-6);
-        assert!(format!("{r}").contains("warming:"));
-    }
-}
-
-#[cfg(test)]
-mod thread_tests {
-    use super::*;
-
-    #[test]
     fn per_thread_ipc_splits_committed() {
         let mut r = SimReport {
             cycles: 100,
@@ -293,24 +247,7 @@ mod thread_tests {
             threads: 2,
             per_thread_committed: vec![100, 50],
             halted: true,
-            mispredicts: 0,
-            exceptions: 0,
-            shadow_recovers: 0,
-            expensive_repairs: 0,
-            rename_stall_cycles: 0,
-            branch_direction_accuracy: 0.0,
-            l1d_hit_rate: 0.0,
-            l2_hit_rate: 0.0,
-            tlb_hit_rate: 0.0,
-            rename: RenameStats::default(),
-            predictor: PredictorStats::default(),
-            hints: HintStats::default(),
-            int_occupancy: Vec::new(),
-            fp_occupancy: Vec::new(),
-            wall_seconds: 0.0,
-            warm_seconds: 0.0,
-            warm_instructions: 0,
-            profile: Default::default(),
+            ..empty()
         };
         assert!((r.per_thread_ipc(0) - 1.0).abs() < 1e-12);
         assert!((r.per_thread_ipc(1) - 0.5).abs() < 1e-12);

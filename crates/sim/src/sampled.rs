@@ -103,7 +103,7 @@ pub struct WindowJob {
 }
 
 /// What one detailed window measured.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowResult {
     /// Window position (first measured-or-warmed instruction).
     pub start: u64,
@@ -113,8 +113,6 @@ pub struct WindowResult {
     pub cycles: u64,
     /// Micro-ops committed across warmup + measurement.
     pub uops: u64,
-    /// Host seconds of detailed simulation (warmup + measurement).
-    pub wall_seconds: f64,
 }
 
 impl WindowResult {
@@ -216,7 +214,6 @@ pub fn run_window_schemes(
             instructions: 0,
             cycles: 0,
             uops: 0,
-            wall_seconds: 0.0,
         };
         return schemes.iter().map(|_| Ok(empty)).collect();
     }
@@ -276,7 +273,6 @@ fn run_detailed(
         instructions: full.committed_instructions - warm_report.committed_instructions,
         cycles: full.cycles - warm_report.cycles,
         uops: full.committed_uops,
-        wall_seconds: full.wall_seconds,
     })
 }
 
@@ -289,16 +285,8 @@ pub struct SampledReport {
     pub windows: Vec<WindowResult>,
     /// Instructions fast-forwarded by the sequential warming pass.
     pub warm_instructions: u64,
-    /// Host seconds of the sequential warming pass.
-    pub warm_seconds: f64,
     /// Instructions measured across all windows.
     pub detailed_instructions: u64,
-    /// Micro-ops committed across all windows (warmup included).
-    pub detailed_uops: u64,
-    /// Cycles across all measured portions.
-    pub detailed_cycles: u64,
-    /// Host seconds of detailed simulation across all windows.
-    pub detailed_seconds: f64,
 }
 
 impl SampledReport {
@@ -315,15 +303,6 @@ impl SampledReport {
     /// Whether `ipc` lies inside the 95% confidence interval.
     pub fn ci_covers(&self, ipc: f64) -> bool {
         (self.ipc_mean() - ipc).abs() <= self.ipc_ci95()
-    }
-
-    /// Functional-warming throughput, instructions per host second.
-    pub fn warm_instructions_per_second(&self) -> f64 {
-        if self.warm_seconds <= 0.0 {
-            0.0
-        } else {
-            self.warm_instructions as f64 / self.warm_seconds
-        }
     }
 }
 
@@ -376,27 +355,17 @@ pub fn sample_windows(
     }
     let mut ipc = Welford::new();
     let mut detailed_instructions = 0;
-    let mut detailed_uops = 0;
-    let mut detailed_cycles = 0;
-    let mut detailed_seconds = 0.0;
     for w in &windows {
         if w.cycles > 0 {
             ipc.record(w.ipc());
         }
         detailed_instructions += w.instructions;
-        detailed_uops += w.uops;
-        detailed_cycles += w.cycles;
-        detailed_seconds += w.wall_seconds;
     }
     SampledReport {
         ipc,
         windows,
         warm_instructions: warmer.retired(),
-        warm_seconds: warmer.wall_seconds(),
         detailed_instructions,
-        detailed_uops,
-        detailed_cycles,
-        detailed_seconds,
     }
 }
 
@@ -485,14 +454,7 @@ mod tests {
     fn sampled_results_are_bit_identical_across_runs() {
         let a = sampled(true, 12_000);
         let b = sampled(true, 12_000);
-        // wall_seconds is host time; everything simulated must be exact.
-        let key = |r: &SampledReport| {
-            r.windows
-                .iter()
-                .map(|w| (w.start, w.instructions, w.cycles, w.uops))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(key(&a), key(&b));
+        assert_eq!(a.windows, b.windows);
         assert_eq!(a.ipc_mean().to_bits(), b.ipc_mean().to_bits());
     }
 
@@ -549,22 +511,18 @@ mod tests {
                 checkpoint: warmer.checkpoint(),
                 spec,
             };
-            let host_free = |r: WindowResult| WindowResult {
-                wall_seconds: 0.0,
-                ..r
-            };
             let shared: Vec<WindowResult> = run_window_schemes(
                 job.clone(),
                 vec![(fresh(0), &schemes[0]), (fresh(1), &schemes[1])],
                 &config,
             )
             .into_iter()
-            .map(|r| host_free(r.expect("shared-lead window")))
+            .map(|r| r.expect("shared-lead window"))
             .collect();
             let separate: Vec<WindowResult> = (0..2)
                 .map(|s| {
-                    let r = run_window(&job, fresh(s), &schemes[s], config.clone());
-                    host_free(r.expect("one-scheme window"))
+                    run_window(&job, fresh(s), &schemes[s], config.clone())
+                        .expect("one-scheme window")
                 })
                 .collect();
             assert_eq!(shared, separate, "window at {}", spec.start);

@@ -9,8 +9,9 @@
 //! regsim --list
 //! ```
 
-use regshare::core::{BankConfig, HintPolicy, RenamerConfig, ReuseRenamer};
-use regshare::harness::{renamer_for, swept_class, Scheme, FIXED_RF};
+use regshare::core::{BankConfig, Renamer};
+use regshare::experiments::{die, flag_value};
+use regshare::harness::{equal_count_config, renamer_for, swept_class, RenamerKind, Scheme};
 use regshare::isa::RegClass;
 use regshare::sim::{Pipeline, SimConfig};
 use regshare::workloads::synthetic::{generate, SyntheticConfig};
@@ -36,7 +37,7 @@ fn usage() -> ! {
         "usage: regsim [--kernel NAME | --file PROG.s | --synthetic] [options]\n\
          \n\
          workload:\n\
-           --kernel NAME      one of the 16 built-in kernels (see --list)\n\
+           --kernel NAME      one of the {} built-in kernels (see --list)\n\
            --file PATH        assemble and run a textual .s program\n\
            --synthetic        generated workload (see --bias/--seed)\n\
            --bias F           synthetic single-use bias, 0..1 (default 0.5)\n\
@@ -44,12 +45,14 @@ fn usage() -> ! {
          \n\
          simulation:\n\
            --scheme S         baseline | proposed | both (default both)\n\
-           --regs N           swept register file size: 48..112 (default 64)\n\
+           --regs N           swept register file size (default 64); proposed: {:?}\n\
            --scale N          committed-instruction budget (default 100000)\n\
-           --equal-count      proposed scheme keeps the baseline's register count\n\
+           --equal-count      proposed scheme keeps the baseline's register count (no Table III row needed)\n\
            --verify           lockstep-check every commit against the functional machine\n\
            --fault ADDR       inject a one-shot page fault at this data address\n\
-           --list             list the built-in kernels and exit"
+           --list             list the built-in kernels and exit",
+        all_kernels().len(),
+        BankConfig::PAPER_SIZES,
     );
     std::process::exit(0);
 }
@@ -70,65 +73,39 @@ fn parse() -> Options {
         list: false,
     };
     let mut args = std::env::args().skip(1);
-    let value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("error: {flag} needs a value");
-            std::process::exit(2)
-        })
-    };
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--kernel" => o.kernel = Some(value(&mut args, "--kernel")),
-            "--file" => o.file = Some(value(&mut args, "--file")),
+            "--kernel" => o.kernel = Some(flag_value(&mut args, "--kernel", "a name")),
+            "--file" => o.file = Some(flag_value(&mut args, "--file", "a path")),
             "--synthetic" => o.synthetic = true,
-            "--bias" => o.bias = value(&mut args, "--bias").parse().unwrap_or(0.5),
-            "--seed" => o.seed = value(&mut args, "--seed").parse().unwrap_or(1),
-            "--scheme" => o.scheme = value(&mut args, "--scheme"),
-            "--regs" => o.regs = value(&mut args, "--regs").parse().unwrap_or(64),
-            "--scale" => o.scale = value(&mut args, "--scale").parse().unwrap_or(100_000),
+            "--bias" => o.bias = flag_value(&mut args, "--bias", "a number"),
+            "--seed" => o.seed = flag_value(&mut args, "--seed", "a number"),
+            "--scheme" => o.scheme = flag_value(&mut args, "--scheme", "a scheme"),
+            "--regs" => o.regs = flag_value(&mut args, "--regs", "a number"),
+            "--scale" => o.scale = flag_value(&mut args, "--scale", "a number"),
             "--verify" => o.verify = true,
             "--equal-count" => o.equal_count = true,
             "--fault" => {
-                let v = value(&mut args, "--fault");
+                let v: String = flag_value(&mut args, "--fault", "an address");
                 let parsed = if let Some(hex) = v.strip_prefix("0x") {
                     u64::from_str_radix(hex, 16)
                 } else {
                     v.parse()
                 };
-                o.fault = Some(parsed.unwrap_or_else(|_| {
-                    eprintln!("error: bad --fault address: {v}");
-                    std::process::exit(2)
-                }));
+                o.fault =
+                    Some(parsed.unwrap_or_else(|_| die(&format!("bad --fault address: {v}"))));
             }
             "--list" => o.list = true,
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown flag {other} (try --help)");
-                std::process::exit(2);
-            }
+            other => die(&format!("unknown flag {other} (try --help)")),
         }
     }
     o
 }
 
-fn build_renamer(o: &Options, scheme: Scheme, swept: RegClass) -> Box<dyn regshare::core::Renamer> {
+fn build_renamer(o: &Options, scheme: Scheme, swept: RegClass) -> Box<dyn Renamer> {
     if scheme == Scheme::Proposed && o.equal_count {
-        let swept_banks = BankConfig::new(vec![o.regs.saturating_sub(12), 4, 4, 4]);
-        let fixed = BankConfig::conventional(FIXED_RF);
-        let (int_banks, fp_banks) = match swept {
-            RegClass::Int => (swept_banks, fixed),
-            RegClass::Fp => (fixed, swept_banks),
-        };
-        return Box::new(ReuseRenamer::new(RenamerConfig {
-            int_banks,
-            fp_banks,
-            counter_bits: 2,
-            predictor_entries: 512,
-            predictor_bits: 2,
-            speculative_reuse: true,
-            hint_policy: HintPolicy::DynamicOnly,
-            threads: 1,
-        }));
+        return RenamerKind::Reuse.build(equal_count_config(o.regs, swept));
     }
     renamer_for(scheme, o.regs, swept)
 }
@@ -144,14 +121,10 @@ fn main() {
     }
 
     let (program, swept, label) = if let Some(path) = &o.file {
-        let source = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        let program = regshare::isa::parse_program(&source).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        });
+        let source = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
+        let program =
+            regshare::isa::parse_program(&source).unwrap_or_else(|e| die(&format!("{path}: {e}")));
         (program, RegClass::Int, path.clone())
     } else if o.synthetic {
         let cfg = SyntheticConfig {
@@ -168,10 +141,10 @@ fn main() {
     } else {
         let name = o.kernel.clone().unwrap_or_else(|| usage());
         let kernels = all_kernels();
-        let kernel: &Kernel = kernels.iter().find(|k| k.name == name).unwrap_or_else(|| {
-            eprintln!("error: unknown kernel {name} (try --list)");
-            std::process::exit(2);
-        });
+        let kernel: &Kernel = kernels
+            .iter()
+            .find(|k| k.name == name)
+            .unwrap_or_else(|| die(&format!("unknown kernel {name} (try --list)")));
         (kernel.program(o.scale), swept_class(kernel.suite), name)
     };
 
@@ -189,11 +162,27 @@ fn main() {
         "baseline" => vec![Scheme::Baseline],
         "proposed" => vec![Scheme::Proposed],
         "both" => vec![Scheme::Baseline, Scheme::Proposed],
-        other => {
-            eprintln!("error: unknown scheme {other}");
-            std::process::exit(2);
-        }
+        other => die(&format!("unknown scheme {other}")),
     };
+    if o.regs <= swept.num_regs() {
+        die(&format!(
+            "--regs {} leaves nothing to rename: the swept {swept} file needs more than \
+             its {} logical registers",
+            o.regs,
+            swept.num_regs()
+        ));
+    }
+    if schemes.contains(&Scheme::Proposed)
+        && !o.equal_count
+        && !BankConfig::PAPER_SIZES.contains(&o.regs)
+    {
+        die(&format!(
+            "--regs {} has no Table III equal-area split for the proposed scheme \
+             (valid: {:?}, or any size with --equal-count)",
+            o.regs,
+            BankConfig::PAPER_SIZES
+        ));
+    }
 
     let mut ipcs = Vec::new();
     for scheme in schemes {

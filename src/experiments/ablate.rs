@@ -2,9 +2,8 @@
 //! the four `ablate-*` subcommands.
 
 use super::common::{save, Args, ExpError};
-use super::sweeps::with_swept_banks;
 use crate::core::{BankConfig, RenamerConfig};
-use crate::harness::{par_map, swept_class, RenamerKind, RunSpec, Scheme};
+use crate::harness::{par_map, swept_class, with_swept_banks, RenamerKind, RunSpec, Scheme};
 use crate::isa::RegClass;
 use crate::stats::{geomean, Table};
 use crate::workloads::all_kernels;

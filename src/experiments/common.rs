@@ -15,6 +15,7 @@ use serde::Serialize;
 use std::fmt;
 use std::io::Write;
 use std::path::Path;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// A structured experiment-harness failure. Every variant names the
@@ -164,13 +165,28 @@ impl Args {
     /// The sampling plan at a given instruction budget: defaults scale
     /// the period so a run gets ~50 windows, floored so windows never
     /// overlap and short smoke runs still get a handful of observations.
-    pub fn sample_plan(&self, scale: u64) -> SamplePlan {
+    ///
+    /// # Errors
+    ///
+    /// A zero `--measure`, a `--warmup + --measure` that overflows, or a
+    /// `--period` shorter than one window: flags no plan can honour.
+    pub fn sample_plan(&self, scale: u64) -> Result<SamplePlan, String> {
         let warmup = self.warmup.unwrap_or(DEFAULT_WARMUP);
         let measure = self.measure.unwrap_or(DEFAULT_MEASURE);
-        let period = self
-            .period
-            .unwrap_or_else(|| (scale / 50).max(warmup + measure));
-        SamplePlan::new(period, warmup, measure)
+        if measure == 0 {
+            return Err("--measure must be positive".into());
+        }
+        let window = warmup
+            .checked_add(measure)
+            .ok_or("--warmup + --measure overflows")?;
+        let period = self.period.unwrap_or_else(|| (scale / 50).max(window));
+        if period < window {
+            return Err(format!(
+                "--period {period} is shorter than a window of {warmup} warmup + \
+                 {measure} measured instructions"
+            ));
+        }
+        Ok(SamplePlan::new(period, warmup, measure))
     }
 }
 
@@ -178,6 +194,18 @@ impl Args {
 pub fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
+}
+
+/// The command-line value after `flag`, parsed as a `T`; exits through
+/// [`die`] with "`flag` needs `what`" when it is missing or does not parse.
+pub fn flag_value<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| die(&format!("{flag} needs {what}")))
 }
 
 /// Writes `text` to `path` through a sibling temp file and an atomic

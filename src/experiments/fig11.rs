@@ -2,8 +2,8 @@
 //! both proposed configurations, and the early-release comparator.
 
 use super::common::{save, Args, ExpError, RF_SIZES};
-use super::sweeps::{early_release_config, equal_count_config};
-use crate::harness::{par_map, swept_class, RenamerKind, RunSpec, Scheme};
+use super::sweeps::early_release_config;
+use crate::harness::{equal_count_config, par_map, swept_class, RenamerKind, RunSpec, Scheme};
 use crate::stats::Table;
 use crate::workloads::all_kernels;
 use serde::Serialize;

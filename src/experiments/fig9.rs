@@ -2,9 +2,8 @@
 //! execution (fp suite).
 
 use super::common::{save, Args, ExpError};
-use super::sweeps::with_swept_banks;
 use crate::core::{BankConfig, RenamerConfig};
-use crate::harness::{par_map, RenamerKind, RunSpec, FIXED_RF};
+use crate::harness::{par_map, with_swept_banks, RenamerKind, RunSpec, FIXED_RF};
 use crate::isa::RegClass;
 use crate::stats::Table;
 use crate::workloads::{suite_kernels, Suite};

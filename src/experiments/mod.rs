@@ -13,7 +13,6 @@ mod ablate_counter;
 mod ablate_predictor;
 mod ablate_speculation;
 mod analyze;
-mod bench;
 mod common;
 mod fig1;
 mod fig10;
@@ -36,7 +35,7 @@ mod table1;
 mod table2;
 mod table3;
 
-pub use common::{die, write_json_atomic, Args, ExpError, RF_SIZES};
+pub use common::{die, flag_value, write_json_atomic, Args, ExpError, RF_SIZES};
 pub use serve::SimExecutor;
 
 /// An experiment entry point. Harness failures (result-file I/O, the
@@ -68,15 +67,13 @@ pub fn registry() -> Vec<(&'static str, ExperimentFn)> {
         ("ablate-banks", ablate_banks::run),
         ("inject", inject::run),
         ("smt", smt::run),
-        // Host-time attribution: wall-clock payload, so `all` skips it
-        // (same contract as `bench`).
+        // Host-time attribution: wall-clock payload, so `all` skips it.
         ("profile", profile::run),
         // Two-speed engine: the sampled registry `all --sample` runs.
         ("sample", sample::run),
         ("shape", shape::run),
-        ("bench", bench::run),
         // Job service: `serve` blocks on a listener and `submit` talks
-        // to one, so `all` skips both (like the sampled trio).
+        // to one, so `all` skips both (like the sampled pair).
         ("serve", serve::run),
         ("submit", submit::run),
     ]

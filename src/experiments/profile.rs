@@ -8,8 +8,8 @@
 //! meaningful when the binary installs [`crate::CountingAlloc`] (the
 //! `experiments` binary does) and read as zero otherwise.
 //!
-//! Like `bench`, this report's payload is host wall-clock, so `all` —
-//! which promises bit-identical output — never includes it.
+//! This report's payload is host wall-clock, so `all` — which
+//! promises bit-identical output — never includes it.
 
 use super::common::{save, Args, ExpError};
 use crate::alloc_track;
@@ -19,7 +19,7 @@ use crate::stats::Table;
 use crate::workloads::all_kernels;
 use serde::Serialize;
 
-/// Swept-file size for the measurement (matches `bench`).
+/// Swept-file size for the measurement (the paper's headline point).
 const RF_REGS: usize = 64;
 
 /// Detailed-mode instruction budget per kernel: attribution stabilizes

@@ -94,7 +94,9 @@ fn sample_kernel(
 /// Runs the experiment and writes `sampled.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
     let scale = args.scale;
-    let plan = args.sample_plan(scale);
+    let plan = args
+        .sample_plan(scale)
+        .unwrap_or_else(|e| panic!("sample plan: {e}"));
     println!(
         "== Sampled IPC (two-speed engine): {} instructions, window {}+{} every {} ==",
         scale, plan.warmup, plan.measure, plan.period

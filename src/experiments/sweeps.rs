@@ -1,9 +1,11 @@
-//! The shared IPC-sweep harness and comparator renamer configurations
-//! used by the figure 10/10-EC/11 subcommands.
+//! The shared IPC-sweep harness and the early-release comparator's
+//! renamer configuration, used by the figure 10/10-EC/11 subcommands.
 
 use super::common::{save, Args, ExpError, RF_SIZES};
 use crate::core::{BankConfig, RenamerConfig};
-use crate::harness::{par_map, swept_class, RenamerKind, RunSpec, Scheme, FIXED_RF};
+use crate::harness::{
+    equal_count_config, par_map, swept_class, with_swept_banks, RenamerKind, RunSpec, Scheme,
+};
 use crate::isa::RegClass;
 use crate::stats::{geomean, Table};
 use crate::workloads::{all_kernels, Kernel, Suite};
@@ -18,33 +20,6 @@ pub(crate) struct SpeedupRow {
     pub(crate) proposed_ipc: f64,
     pub(crate) speedup: f64,
     pub(crate) reuse_pct: f64,
-}
-
-/// `template` with `swept_banks` as the swept file and the other file at
-/// [`FIXED_RF`] conventional registers.
-pub(crate) fn with_swept_banks(
-    template: RenamerConfig,
-    swept: RegClass,
-    swept_banks: BankConfig,
-) -> RenamerConfig {
-    let fixed = BankConfig::conventional(FIXED_RF);
-    let (int_banks, fp_banks) = match swept {
-        RegClass::Int => (swept_banks, fixed),
-        RegClass::Fp => (fixed, swept_banks),
-    };
-    RenamerConfig {
-        int_banks,
-        fp_banks,
-        ..template
-    }
-}
-
-/// Proposed-scheme ([`RenamerKind::Reuse`]) configuration at the same
-/// register *count* as the baseline (mechanism benefit without the
-/// equal-area discount).
-pub(crate) fn equal_count_config(rf_regs: usize, swept: RegClass) -> RenamerConfig {
-    let banks = BankConfig::new(vec![rf_regs - 12, 4, 4, 4]);
-    with_swept_banks(RenamerConfig::baseline(rf_regs), swept, banks)
 }
 
 /// The Moudgill/Monreal-style early-release comparator's configuration

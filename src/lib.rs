@@ -10,8 +10,8 @@
 //! regenerates every table and figure of the paper's evaluation.
 //!
 //! This facade crate re-exports the workspace libraries and provides the
-//! [`harness`] used by the examples, the experiment binary and the
-//! criterion benches.
+//! [`harness`] used by the examples, the command-line binaries and the
+//! benchmark in `regbench/`.
 //!
 //! # Quickstart
 //!
@@ -170,22 +170,14 @@ pub mod harness {
         }
     }
 
-    /// The renamer configuration for a scheme at a given
-    /// *baseline-equivalent* size of the swept register file; the other
-    /// file stays at [`FIXED_RF`] registers. The proposed scheme gets the
-    /// Table III equal-area bank split for the swept file.
-    pub fn renamer_config_for(scheme: Scheme, rf_regs: usize, swept: RegClass) -> RenamerConfig {
+    /// `template` with `swept_banks` as the swept file and the other file
+    /// at [`FIXED_RF`] conventional registers.
+    pub fn with_swept_banks(
+        template: RenamerConfig,
+        swept: RegClass,
+        swept_banks: BankConfig,
+    ) -> RenamerConfig {
         let fixed = BankConfig::conventional(FIXED_RF);
-        let (swept_banks, template) = match scheme {
-            Scheme::Baseline => (
-                BankConfig::conventional(rf_regs),
-                RenamerConfig::baseline(rf_regs),
-            ),
-            Scheme::Proposed => (
-                BankConfig::paper_row(rf_regs),
-                RenamerConfig::paper(rf_regs),
-            ),
-        };
         let (int_banks, fp_banks) = match swept {
             RegClass::Int => (swept_banks, fixed),
             RegClass::Fp => (fixed, swept_banks),
@@ -195,6 +187,41 @@ pub mod harness {
             fp_banks,
             ..template
         }
+    }
+
+    /// The renamer configuration for a scheme at a given
+    /// *baseline-equivalent* size of the swept register file; the other
+    /// file stays at [`FIXED_RF`] registers. The proposed scheme gets the
+    /// Table III equal-area bank split for the swept file.
+    pub fn renamer_config_for(scheme: Scheme, rf_regs: usize, swept: RegClass) -> RenamerConfig {
+        match scheme {
+            Scheme::Baseline => with_swept_banks(
+                RenamerConfig::baseline(rf_regs),
+                swept,
+                BankConfig::conventional(rf_regs),
+            ),
+            Scheme::Proposed => with_swept_banks(
+                RenamerConfig::paper(rf_regs),
+                swept,
+                BankConfig::paper_row(rf_regs),
+            ),
+        }
+    }
+
+    /// The proposed scheme's ([`RenamerKind::Reuse`]) configuration at
+    /// the same register *count* as a baseline of `rf_regs` (the
+    /// mechanism's benefit without the equal-area discount): 12 of the
+    /// swept file's registers carry 1, 2 or 3 shadow cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rf_regs` is below 12.
+    pub fn equal_count_config(rf_regs: usize, swept: RegClass) -> RenamerConfig {
+        let conventional = rf_regs
+            .checked_sub(12)
+            .expect("an equal-count file holds at least its 12 shadowed registers");
+        let banks = BankConfig::new(vec![conventional, 4, 4, 4]);
+        with_swept_banks(RenamerConfig::baseline(rf_regs), swept, banks)
     }
 
     /// Builds the renamer for a scheme (see [`renamer_config_for`] for

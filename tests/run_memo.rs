@@ -30,7 +30,6 @@ const MEMOISED: [&str; 9] = [
 fn deterministic(report: &SimReport) -> String {
     let mut r = report.clone();
     r.wall_seconds = 0.0;
-    r.warm_seconds = 0.0;
     r.profile.nanos = Default::default();
     format!("{r:?}")
 }
