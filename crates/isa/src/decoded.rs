@@ -125,8 +125,7 @@ impl DecodedOp {
 
 /// A dense per-PC sidecar of [`DecodedOp`] records, built once per
 /// [`crate::Program`] and shared read-only (via the program's `Arc`'d
-/// internals) across sampling windows, time-parallel slices and
-/// `par_map` workers.
+/// internals) across sampling windows and `par_map` workers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodedImage {
     ops: Box<[DecodedOp]>,

@@ -22,8 +22,8 @@ use std::sync::Arc;
 /// ```
 /// A program is a cheap handle: the instruction list, data image, hint
 /// table and predecoded sidecar live behind one shared allocation, so
-/// `Program::clone` (window checkpoints, time-parallel slices, the
-/// lockstep oracle, `par_map` fan-out) copies a pointer instead of the
+/// `Program::clone` (window checkpoints, the lockstep oracle,
+/// `par_map` fan-out) copies a pointer instead of the
 /// whole image. The contents are immutable after construction, which is
 /// what makes the sharing sound.
 #[derive(Debug, Clone)]

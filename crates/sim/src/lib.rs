@@ -84,7 +84,7 @@ pub use profile::{StageProfile, StageSlot, StageTimer, NUM_STAGE_SLOTS, STAGE_SL
 pub use report::SimReport;
 pub use sampled::{
     run_window, run_window_schemes, sample_windows, window_specs, SampledConfig, SampledReport,
-    WindowJob, WindowResult, WindowSpec, DEFAULT_BATCH, DEFAULT_LEAD,
+    WindowJob, WindowResult, WindowSpec, DEFAULT_LEAD,
 };
 pub use scoreboard::Scoreboard;
 pub use warm::{Checkpoint, FunctionalWarmer, MemWarm, Warmable};

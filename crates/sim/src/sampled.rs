@@ -16,16 +16,13 @@
 //! predictors its own config trained. [`run_window`] is its one-scheme
 //! case.
 //!
-//! Because every window starts from a checkpoint at a position that is
-//! a pure function of the plan, a window's result depends only on
-//! `(program, plan, config)` — never on which worker ran it or in what
-//! order. That is the determinism argument behind time-parallel
-//! slicing: results are byte-identical for any worker count.
-//!
-//! Checkpoints are materialized in bounded batches (a clone holds the
-//! machine's memory image plus the cache hierarchy) so paper-scale runs
-//! with hundreds of windows never hold more than [`SampledConfig::batch`]
-//! snapshots at once.
+//! [`sample_windows`] runs each window as soon as the warming pass has
+//! taken its checkpoint, so one checkpoint (a clone of the machine's
+//! memory image plus the cache hierarchy) is live at a time however many
+//! windows a paper-scale run has. Every window starts from a checkpoint
+//! at a position that is a pure function of the plan, so its result
+//! depends only on `(program, plan, config)`: a caller that spreads
+//! kernels across workers writes the same bytes for any worker count.
 
 use crate::bpred::BranchPredictor;
 use crate::warm::{Checkpoint, FunctionalWarmer, Warmable};
@@ -40,10 +37,6 @@ use regshare_stats::{SamplePlan, Welford};
 /// this horizon.
 pub const DEFAULT_LEAD: u64 = 100_000;
 
-/// Checkpoints materialized at once (memory bound for the batched
-/// warming pass).
-pub const DEFAULT_BATCH: usize = 8;
-
 /// How a sampled run carves the stream into detailed windows.
 #[derive(Debug, Clone, Copy)]
 pub struct SampledConfig {
@@ -51,17 +44,14 @@ pub struct SampledConfig {
     pub plan: SamplePlan,
     /// Functional predictor-warming lead per window, in instructions.
     pub lead: u64,
-    /// Checkpoints held in memory at once.
-    pub batch: usize,
 }
 
 impl SampledConfig {
-    /// A sampled-run configuration with default lead and batching.
+    /// A sampled-run configuration with the default lead.
     pub fn new(plan: SamplePlan) -> Self {
         SampledConfig {
             plan,
             lead: DEFAULT_LEAD,
-            batch: DEFAULT_BATCH,
         }
     }
 }
@@ -290,6 +280,26 @@ pub struct SampledReport {
 }
 
 impl SampledReport {
+    /// The aggregate of `windows`, in stream order, after a warming pass
+    /// of `warm_instructions`: each window that ran cycles is one IPC
+    /// observation.
+    pub fn new(windows: Vec<WindowResult>, warm_instructions: u64) -> Self {
+        let mut ipc = Welford::new();
+        let mut detailed_instructions = 0;
+        for w in &windows {
+            if w.cycles > 0 {
+                ipc.record(w.ipc());
+            }
+            detailed_instructions += w.instructions;
+        }
+        SampledReport {
+            ipc,
+            windows,
+            warm_instructions,
+            detailed_instructions,
+        }
+    }
+
     /// Mean per-window IPC.
     pub fn ipc_mean(&self) -> f64 {
         self.ipc.mean()
@@ -306,67 +316,43 @@ impl SampledReport {
     }
 }
 
-/// Runs the sampled engine: the sequential warming pass feeding batches
-/// of [`WindowJob`]s to `run_batch`, which must return one result per
-/// job **in input order** (delegate to a deterministic parallel map for
-/// time-parallel slicing, or run them inline).
+/// Runs the sampled engine: one sequential warming pass that hands each
+/// window's [`WindowJob`] to `run` as soon as its checkpoint is taken.
+/// `run` returns the window's result under each of `N` schemes, and the
+/// reports come back in the same order.
 ///
 /// # Panics
 ///
-/// Panics on a functional execution fault during warming, or if
-/// `run_batch` drops results.
-pub fn sample_windows(
+/// Panics on a functional execution fault during warming.
+pub fn sample_windows<const N: usize>(
     program: &Program,
     config: &SimConfig,
     sample: &SampledConfig,
     scale: u64,
-    mut run_batch: impl FnMut(Vec<WindowJob>) -> Vec<WindowResult>,
-) -> SampledReport {
+    mut run: impl FnMut(WindowJob) -> [WindowResult; N],
+) -> [SampledReport; N] {
     let specs = window_specs(&sample.plan, scale, sample.lead);
     let mut warmer = FunctionalWarmer::new(program.clone(), config);
-    let mut windows: Vec<WindowResult> = Vec::with_capacity(specs.len());
-    for chunk in specs.chunks(sample.batch.max(1)) {
-        let mut jobs = Vec::with_capacity(chunk.len());
-        let mut halted = false;
-        for spec in chunk {
-            let at = spec.start - spec.lead;
-            warmer.run_until(at).expect("functional warming");
-            if warmer.retired() < at {
-                // The program halted before this window's lead; no
-                // later window can start either. The jobs already
-                // collected for this chunk still run below.
-                halted = true;
-                break;
-            }
-            jobs.push(WindowJob {
-                checkpoint: warmer.checkpoint(),
-                spec: *spec,
-            });
-        }
-        let n = jobs.len();
-        if n > 0 {
-            let results = run_batch(jobs);
-            assert_eq!(results.len(), n, "run_batch must return one result per job");
-            windows.extend(results);
-        }
-        if halted || n == 0 {
+    let mut windows: [Vec<WindowResult>; N] =
+        std::array::from_fn(|_| Vec::with_capacity(specs.len()));
+    for spec in specs {
+        let at = spec.start - spec.lead;
+        warmer.run_until(at).expect("functional warming");
+        if warmer.retired() < at {
+            // The program halted before this window's lead; no later
+            // window can start either.
             break;
         }
-    }
-    let mut ipc = Welford::new();
-    let mut detailed_instructions = 0;
-    for w in &windows {
-        if w.cycles > 0 {
-            ipc.record(w.ipc());
+        let results = run(WindowJob {
+            checkpoint: warmer.checkpoint(),
+            spec,
+        });
+        for (scheme, result) in windows.iter_mut().zip(results) {
+            scheme.push(result);
         }
-        detailed_instructions += w.instructions;
     }
-    SampledReport {
-        ipc,
-        windows,
-        warm_instructions: warmer.retired(),
-        detailed_instructions,
-    }
+    let warm_instructions = warmer.retired();
+    windows.map(|w| SampledReport::new(w, warm_instructions))
 }
 
 #[cfg(test)]
@@ -406,20 +392,16 @@ mod tests {
         let sample = SampledConfig {
             plan: SamplePlan::new(2_000, 200, 500),
             lead: 1_000,
-            batch: 3,
         };
-        sample_windows(&program, &config, &sample, scale, |jobs| {
-            jobs.iter()
-                .map(|job| {
-                    let renamer: Box<dyn Renamer> = if scheme_reuse {
-                        Box::new(ReuseRenamer::new(rconfig.clone()))
-                    } else {
-                        Box::new(BaselineRenamer::new(rconfig.clone()))
-                    };
-                    run_window(job, renamer, &rconfig, config.clone()).expect("window")
-                })
-                .collect()
-        })
+        let [report] = sample_windows(&program, &config, &sample, scale, |job| {
+            let renamer: Box<dyn Renamer> = if scheme_reuse {
+                Box::new(ReuseRenamer::new(rconfig.clone()))
+            } else {
+                Box::new(BaselineRenamer::new(rconfig.clone()))
+            };
+            [run_window(&job, renamer, &rconfig, config.clone()).expect("window")]
+        });
+        report
     }
 
     #[test]
@@ -565,15 +547,10 @@ mod tests {
         let sample = SampledConfig {
             plan: SamplePlan::new(400, 50, 100),
             lead: 100,
-            batch: 4,
         };
-        let r = sample_windows(&program, &config, &sample, 100_000, |jobs| {
-            jobs.iter()
-                .map(|job| {
-                    let renamer = Box::new(BaselineRenamer::new(rconfig.clone()));
-                    run_window(job, renamer, &rconfig, config.clone()).expect("window")
-                })
-                .collect()
+        let [r] = sample_windows(&program, &config, &sample, 100_000, |job| {
+            let renamer = Box::new(BaselineRenamer::new(rconfig.clone()));
+            [run_window(&job, renamer, &rconfig, config.clone()).expect("window")]
         });
         assert!(r.windows.len() <= 2, "halt truncates the window list");
     }

@@ -143,7 +143,7 @@ impl fmt::Display for Welford {
 /// discarded (they drain the cold-start transient of the reconstructed
 /// pipeline) followed by `measure` instructions whose IPC becomes one
 /// observation. Window positions depend only on this plan — never on
-/// worker count or scheduling — which is what makes sliced runs
+/// worker count or scheduling — which is what makes sampled runs
 /// byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SamplePlan {

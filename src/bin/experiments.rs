@@ -11,6 +11,7 @@
 //! parses flags and dispatches through the registry.
 
 use regshare::experiments::{die, flag_value, registry, Args};
+use regshare::harness::kernel_by_name;
 
 // Count heap traffic so `experiments profile` can report allocations
 // per simulated kilocycle. Two relaxed atomic adds per allocation —
@@ -35,7 +36,10 @@ fn parse_args() -> Args {
             "--seed" => args.seed = flag_value(&mut it, "--seed", "a number"),
             "--kernels" => {
                 let list: String = flag_value(&mut it, "--kernels", "a list");
-                args.kernels = Some(list.split(',').map(str::to_string).collect());
+                let kernels = list.split(',').map(|name| {
+                    kernel_by_name(name).unwrap_or_else(|e| die(&format!("--kernels: {e}")))
+                });
+                args.kernels = Some(kernels.collect());
             }
             "--sample" => args.sample = true,
             "--workers" => args.workers = Some(flag_value(&mut it, "--workers", "a number")),
@@ -65,7 +69,8 @@ fn help() -> ! {
          \x20                 [--sample] [--workers N] [--period N] [--warmup N] [--measure N]\n\
          \x20                 [--port N] [--data-dir DIR]\n\
          experiments: {} all\n\
-         --campaigns/--seed/--kernels apply to the `inject` fault-injection sweep only\n\
+         --campaigns/--seed apply to the `inject` fault-injection sweep only; --kernels \
+         picks the kernels of `inject` and `submit`\n\
          --sample makes `all` run the two-speed sampled registry ({}), the mode that \
          scales to --scale 1000000000\n\
          --workers/--period/--warmup/--measure tune sampled runs\n\

@@ -3,8 +3,7 @@
 //! `tests/determinism.rs` (default mode) or `WIDTH_GOLDEN` in
 //! `tests/smt.rs` (`width` mode: the superscalar-width sweep goldens).
 
-use regshare::harness::{experiment_config, renamer_for, run_kernel, swept_class, Scheme};
-use regshare::sim::Pipeline;
+use regshare::harness::{run_kernel, RunSpec, Scheme};
 use regshare::workloads::all_kernels;
 
 fn main() {
@@ -21,10 +20,9 @@ fn main() {
             }
             for scheme in [Scheme::Baseline, Scheme::Proposed] {
                 for width in [2usize, 4, 8] {
-                    let cfg = experiment_config(scale).with_width(width);
-                    let renamer = renamer_for(scheme, rf, swept_class(kernel.suite));
-                    let mut sim = Pipeline::new(kernel.program(scale), renamer, cfg);
-                    let r = sim.run().expect("width golden run");
+                    let mut spec = RunSpec::scheme(kernel, scheme, rf, scale);
+                    spec.sim = spec.sim.with_width(width);
+                    let r = spec.run().expect("width golden run");
                     println!(
                         "    (\"{}\", Scheme::{:?}, {}, {}, {}),",
                         kernel.name, scheme, width, r.cycles, r.committed_instructions

@@ -11,11 +11,14 @@
 
 use regshare::core::{BankConfig, Renamer};
 use regshare::experiments::{die, flag_value};
-use regshare::harness::{equal_count_config, renamer_for, swept_class, RenamerKind, Scheme};
+use regshare::harness::{
+    check_swept_rf, equal_count_config, kernel_by_name, renamer_for, swept_class, RenamerKind,
+    Scheme,
+};
 use regshare::isa::RegClass;
 use regshare::sim::{Pipeline, SimConfig};
+use regshare::workloads::all_kernels;
 use regshare::workloads::synthetic::{generate, SyntheticConfig};
-use regshare::workloads::{all_kernels, Kernel};
 
 struct Options {
     kernel: Option<String>,
@@ -140,11 +143,7 @@ fn main() {
         )
     } else {
         let name = o.kernel.clone().unwrap_or_else(|| usage());
-        let kernels = all_kernels();
-        let kernel: &Kernel = kernels
-            .iter()
-            .find(|k| k.name == name)
-            .unwrap_or_else(|| die(&format!("unknown kernel {name} (try --list)")));
+        let kernel = kernel_by_name(&name).unwrap_or_else(|e| die(&e));
         (kernel.program(o.scale), swept_class(kernel.suite), name)
     };
 
@@ -164,25 +163,11 @@ fn main() {
         "both" => vec![Scheme::Baseline, Scheme::Proposed],
         other => die(&format!("unknown scheme {other}")),
     };
-    if o.regs <= swept.num_regs() {
-        die(&format!(
-            "--regs {} leaves nothing to rename: the swept {swept} file needs more than \
-             its {} logical registers",
-            o.regs,
-            swept.num_regs()
-        ));
-    }
-    if schemes.contains(&Scheme::Proposed)
-        && !o.equal_count
-        && !BankConfig::PAPER_SIZES.contains(&o.regs)
-    {
-        die(&format!(
-            "--regs {} has no Table III equal-area split for the proposed scheme \
-             (valid: {:?}, or any size with --equal-count)",
-            o.regs,
-            BankConfig::PAPER_SIZES
-        ));
-    }
+    // --equal-count builds the proposed scheme at the baseline's register
+    // count, which needs no Table III row.
+    let table_iii = schemes.contains(&Scheme::Proposed) && !o.equal_count;
+    check_swept_rf(o.regs, swept, table_iii)
+        .unwrap_or_else(|e| die(&format!("--regs {} {e}", o.regs)));
 
     let mut ipcs = Vec::new();
     for scheme in schemes {

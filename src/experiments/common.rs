@@ -10,6 +10,7 @@
 
 use crate::harness::{RunMemo, RunSpec};
 use crate::sim::SimReport;
+use crate::workloads::Kernel;
 use regshare_stats::SamplePlan;
 use serde::Serialize;
 use std::fmt;
@@ -99,8 +100,8 @@ pub struct Args {
     pub campaigns: usize,
     /// Base seed for fault-injection schedules (`inject`).
     pub seed: u64,
-    /// Kernel subset for `inject` (`None` = all kernels).
-    pub kernels: Option<Vec<String>>,
+    /// Kernel subset for `inject` and `submit` (`None` = all kernels).
+    pub kernels: Option<Vec<Kernel>>,
     /// Run through the two-speed sampled engine (`all` then dispatches
     /// the reduced sampled registry).
     pub sample: bool,

@@ -1,13 +1,13 @@
 //! Static sharing hints raced against the dynamic predictor: every
-//! kernel runs under all three [`HintPolicy`] variants with its compiled
-//! hint table attached, and the speculation accounting is split by grant
-//! source (Fig. 12 style, per source).
+//! kernel runs under all three [`HintPolicy`] variants (the two that
+//! read static hints with the kernel's compiled hint table attached;
+//! see [`RunSpec::pipeline`]), and the speculation accounting is split
+//! by grant source (Fig. 12 style, per source).
 
 use super::common::{save, Args, ExpError};
 use crate::analyze::{classify, classify_with_loops, compile_hints, Cfg, SiteClass};
-use crate::core::{HintPolicy, ReuseRenamer};
-use crate::harness::{experiment_config, par_map, renamer_config_for, swept_class, Scheme};
-use crate::sim::Pipeline;
+use crate::core::HintPolicy;
+use crate::harness::{par_map, RunSpec, Scheme};
 use crate::stats::Table;
 use crate::workloads::all_kernels;
 use serde::Serialize;
@@ -64,18 +64,12 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
         let hints = compile_hints(&program);
         let sites = hints.len();
         let exact = hints.exact_slots();
-        let program = program.with_hints(hints);
         POLICIES
             .iter()
             .map(|&(policy, label)| {
-                let mut rconfig = renamer_config_for(Scheme::Proposed, 64, swept_class(k.suite));
-                rconfig.hint_policy = policy;
-                let renamer = Box::new(ReuseRenamer::new(rconfig));
-                let mut sim =
-                    Pipeline::new(program.clone(), renamer, experiment_config(args.scale));
-                let report = sim
-                    .run()
-                    .unwrap_or_else(|e| panic!("{} ({label}): {e}", k.name));
+                let mut spec = RunSpec::scheme(*k, Scheme::Proposed, 64, args.scale);
+                spec.config.hint_policy = policy;
+                let report = args.report(&spec);
                 HintRow {
                     kernel: k.name.into(),
                     suite: k.suite.label().into(),

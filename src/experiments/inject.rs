@@ -2,8 +2,8 @@
 //! flips and squash storms under lockstep oracle + invariant audits.
 
 use super::common::{die, save, Args, ExpError};
-use crate::harness::{experiment_config, par_map, renamer_for, swept_class, Scheme};
-use crate::sim::{InjectSchedule, Pipeline, SimError};
+use crate::harness::{par_map, RunSpec, Scheme};
+use crate::sim::{InjectSchedule, SimError};
 use crate::workloads::all_kernels;
 use serde::Serialize;
 
@@ -37,13 +37,8 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
     // covers the whole run either way.
     let scale = args.scale.min(20_000);
     let mut kernels = all_kernels();
-    if let Some(names) = &args.kernels {
-        for n in names {
-            if !kernels.iter().any(|k| k.name == n.as_str()) {
-                die(&format!("unknown kernel for --kernels: {n}"));
-            }
-        }
-        kernels.retain(|k| names.iter().any(|n| n == k.name));
+    if let Some(subset) = &args.kernels {
+        kernels.retain(|k| subset.iter().any(|s| s.name == k.name));
     }
     // Campaign i covers kernel i mod K, alternating schemes across
     // passes, with a per-campaign schedule seed derived from --seed.
@@ -53,11 +48,10 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
         let kernel = &kernels[i % kernels.len()];
         let scheme = schemes[(i / kernels.len()) % schemes.len()];
         let seed = args.seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut cfg = experiment_config(scale);
-        cfg.check_oracle = true;
-        cfg.audit_interval = 256;
-        let renamer = renamer_for(scheme, 64, swept_class(kernel.suite));
-        let mut sim = Pipeline::new(kernel.program(scale), renamer, cfg);
+        let mut spec = RunSpec::scheme(*kernel, scheme, 64, scale);
+        spec.sim.check_oracle = true;
+        spec.sim.audit_interval = 256;
+        let mut sim = spec.pipeline();
         sim.set_inject(InjectSchedule::seeded(seed, scale));
         let (status, error) = match sim.run() {
             Ok(_) => ("ok", None),

@@ -1,22 +1,18 @@
-//! The paper's evaluation as a library: one module per experiment
-//! subcommand, a shared [`Args`] options struct, and the [`registry`]
-//! the `experiments` binary dispatches through.
+//! The paper's evaluation as a library: the experiment subcommands, a
+//! shared [`Args`] options struct, and the [`registry`] the
+//! `experiments` binary dispatches through.
 //!
-//! Each subcommand module exposes `run(&Args)`, prints its table, and
-//! writes machine-readable rows to `<out_dir>/<name>.json`. The binary
-//! in `src/bin/experiments.rs` is a thin CLI: it parses flags into
-//! [`Args`] and walks the registry.
+//! Each subcommand is a function of `&Args`: most modules hold one, as
+//! `run`; `sweeps` holds Figures 10 and 10-EC, and `ablate` the four
+//! ablations, each a table of settings. A subcommand prints its table
+//! and writes machine-readable rows to `<out_dir>/<name>.json`. The
+//! binary in `src/bin/experiments.rs` is a thin CLI: it parses flags
+//! into [`Args`] and walks the registry.
 
 mod ablate;
-mod ablate_banks;
-mod ablate_counter;
-mod ablate_predictor;
-mod ablate_speculation;
 mod analyze;
 mod common;
 mod fig1;
-mod fig10;
-mod fig10ec;
 mod fig11;
 mod fig12;
 mod fig2;
@@ -55,16 +51,16 @@ pub fn registry() -> Vec<(&'static str, ExperimentFn)> {
         ("table2", table2::run),
         ("table3", table3::run),
         ("fig9", fig9::run),
-        ("fig10", fig10::run),
-        ("fig10ec", fig10ec::run),
+        ("fig10", sweeps::fig10),
+        ("fig10ec", sweeps::fig10ec),
         ("fig11", fig11::run),
         ("fig12", fig12::run),
         ("analyze", analyze::run),
         ("hints", hints::run),
-        ("ablate-counter", ablate_counter::run),
-        ("ablate-speculation", ablate_speculation::run),
-        ("ablate-predictor", ablate_predictor::run),
-        ("ablate-banks", ablate_banks::run),
+        ("ablate-counter", ablate::counter),
+        ("ablate-speculation", ablate::speculation),
+        ("ablate-predictor", ablate::predictor),
+        ("ablate-banks", ablate::banks),
         ("inject", inject::run),
         ("smt", smt::run),
         // Host-time attribution: wall-clock payload, so `all` skips it.

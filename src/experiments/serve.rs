@@ -19,10 +19,8 @@
 //! cache be verified at all.
 
 use super::common::{Args, ExpError};
-use crate::core::BankConfig;
-use crate::harness::{experiment_config, renamer_for, swept_class, Scheme};
-use crate::sim::{CancelToken, Pipeline, SimReport};
-use crate::workloads::{all_kernels, Kernel};
+use crate::harness::{check_swept_rf, kernel_by_name, swept_class, RunSpec, Scheme};
+use crate::sim::{CancelToken, SimReport};
 use regshare_serve::{install_signal_handlers, JobExecutor, ServeConfig, Server};
 use serde::Value;
 use std::sync::atomic::AtomicBool;
@@ -37,16 +35,6 @@ pub const SIM_SERVICE_VERSION: &str = "regshare-sim-v1";
 /// The [`JobExecutor`] that runs one deterministic simulation point per
 /// job.
 pub struct SimExecutor;
-
-fn kernel_by_name(name: &str) -> Result<Kernel, String> {
-    all_kernels()
-        .into_iter()
-        .find(|k| k.name == name)
-        .ok_or_else(|| {
-            let known: Vec<&str> = all_kernels().iter().map(|k| k.name).collect();
-            format!("unknown kernel {name:?} (known: {})", known.join(", "))
-        })
-}
 
 fn scheme_by_name(name: &str) -> Result<Scheme, String> {
     match name {
@@ -118,17 +106,10 @@ impl JobExecutor for SimExecutor {
         if !(16..=512).contains(&rf) {
             return Err(format!("rf {rf} out of range [16, 512]"));
         }
-        if scheme == Scheme::Proposed && !BankConfig::PAPER_SIZES.contains(&rf) {
-            return Err(format!(
-                "rf {rf} has no Table III equal-area split for the proposed scheme \
-                 (valid: {:?})",
-                BankConfig::PAPER_SIZES
-            ));
-        }
+        check_swept_rf(rf, swept_class(kernel.suite), scheme == Scheme::Proposed)
+            .map_err(|e| format!("rf {rf} {e}"))?;
 
-        let program = kernel.program(scale);
-        let renamer = renamer_for(scheme, rf, swept_class(kernel.suite));
-        let mut sim = Pipeline::new(program, renamer, experiment_config(scale));
+        let mut sim = RunSpec::scheme(kernel, scheme, rf, scale).pipeline();
         sim.set_cancel(CancelToken::from_flag(Arc::clone(cancel)));
         let report = sim
             .run()

@@ -14,10 +14,9 @@
 use super::common::{save, Args, ExpError};
 use crate::area;
 use crate::core::{BankConfig, BaselineRenamer, Renamer, RenamerConfig, ReuseRenamer};
-use crate::harness::{par_map, Scheme};
+use crate::harness::{kernel_by_name, par_map, Scheme};
 use crate::sim::{FetchPolicyKind, Pipeline, SimConfig, SimReport};
 use crate::stats::Table;
-use crate::workloads::{all_kernels, Kernel};
 use serde::Serialize;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -57,13 +56,6 @@ struct SmtFrontier {
     paper_rf_reduction_pct: f64,
     rows: Vec<SmtRow>,
     verdict: String,
-}
-
-fn kernel(name: &str) -> Kernel {
-    all_kernels()
-        .into_iter()
-        .find(|k| k.name == name)
-        .unwrap_or_else(|| panic!("smt mix kernel {name} is not in the workload suite"))
 }
 
 /// Equal-area bank split for the proposed scheme, floored so the shared
@@ -107,7 +99,10 @@ fn run_point(threads: usize, width: usize, scheme: Scheme, scale: u64) -> (usize
     };
     let programs = MIX[..threads]
         .iter()
-        .map(|name| kernel(name).program(scale))
+        .map(|name| {
+            let kernel = kernel_by_name(name).unwrap_or_else(|e| panic!("smt mix: {e}"));
+            kernel.program(scale)
+        })
         .collect();
     let mut config = SimConfig::default().with_width(width).with_threads(threads);
     config.fetch_policy = if threads > 1 {

@@ -56,15 +56,12 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
 
     // The sweep: every kernel (or the --kernels subset) under both
     // schemes at three register-file sizes.
-    let kernels: Vec<String> = match &args.kernels {
-        Some(subset) => subset.clone(),
-        None => all_kernels().iter().map(|k| k.name.to_string()).collect(),
-    };
+    let kernels = args.kernels.clone().unwrap_or_else(all_kernels);
     let mut payloads = Vec::new();
     for kernel in &kernels {
         for scheme in ["baseline", "proposed"] {
             for rf in [56usize, 64, 80] {
-                payloads.push(payload_for(kernel, scheme, rf, args.scale));
+                payloads.push(payload_for(kernel.name, scheme, rf, args.scale));
             }
         }
     }

@@ -1,5 +1,5 @@
-//! The shared IPC-sweep harness and the early-release comparator's
-//! renamer configuration, used by the figure 10/10-EC/11 subcommands.
+//! Figures 10 and 10-EC, two speedup sweeps over one harness, and the
+//! early-release comparator's renamer configuration that Figure 11 uses.
 
 use super::common::{save, Args, ExpError, RF_SIZES};
 use crate::core::{BankConfig, RenamerConfig};
@@ -12,14 +12,36 @@ use crate::workloads::{all_kernels, Kernel, Suite};
 use serde::Serialize;
 
 #[derive(Serialize)]
-pub(crate) struct SpeedupRow {
-    pub(crate) kernel: String,
-    pub(crate) suite: String,
-    pub(crate) rf_regs: usize,
-    pub(crate) baseline_ipc: f64,
-    pub(crate) proposed_ipc: f64,
-    pub(crate) speedup: f64,
-    pub(crate) reuse_pct: f64,
+struct SpeedupRow {
+    kernel: String,
+    suite: String,
+    rf_regs: usize,
+    baseline_ipc: f64,
+    proposed_ipc: f64,
+    speedup: f64,
+    reuse_pct: f64,
+}
+
+/// Figure 10: equal-area speedup over the baseline across register-file
+/// sizes. Writes `fig10.json`.
+pub fn fig10(args: &Args) -> Result<(), ExpError> {
+    speedup_sweep(
+        args,
+        "fig10",
+        "== Figure 10: equal-area speedup vs baseline, per register file size ==",
+        false,
+    )
+}
+
+/// Figure 10-EC (extension): equal-register-count speedup over the
+/// baseline across register-file sizes. Writes `fig10ec.json`.
+pub fn fig10ec(args: &Args) -> Result<(), ExpError> {
+    speedup_sweep(
+        args,
+        "fig10ec",
+        "== Figure 10-EC (extension): equal-register-count speedup vs baseline ==",
+        true,
+    )
 }
 
 /// The Moudgill/Monreal-style early-release comparator's configuration
@@ -30,12 +52,7 @@ pub(crate) fn early_release_config(rf_regs: usize, swept: RegClass) -> RenamerCo
     with_swept_banks(RenamerConfig::baseline(rf_regs), swept, banks)
 }
 
-pub(crate) fn speedup_sweep(
-    args: &Args,
-    name: &str,
-    title: &str,
-    equal_count: bool,
-) -> Result<(), ExpError> {
+fn speedup_sweep(args: &Args, name: &str, title: &str, equal_count: bool) -> Result<(), ExpError> {
     println!("{title}");
     // Every (kernel, size) point is independent; fan out across cores
     // and collect rows back in sweep order.

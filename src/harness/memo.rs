@@ -2,7 +2,10 @@
 //! in-process memo that simulates each distinct spec once.
 
 use super::{experiment_config, renamer_config_for, swept_class, Scheme};
-use regshare_core::{BaselineRenamer, EarlyReleaseRenamer, Renamer, RenamerConfig, ReuseRenamer};
+use regshare_analyze::compile_hints;
+use regshare_core::{
+    BaselineRenamer, EarlyReleaseRenamer, HintPolicy, Renamer, RenamerConfig, ReuseRenamer,
+};
 use regshare_sim::{Pipeline, SimConfig, SimError, SimReport};
 use regshare_workloads::Kernel;
 use std::collections::BTreeMap;
@@ -78,10 +81,26 @@ impl RunSpec {
         RunSpec::new(kernel, scheme.into(), config, scale)
     }
 
+    /// The pipeline the spec names, not yet run. A hint policy that
+    /// reads static hints gets the program with its compiled hint table
+    /// attached, so the table is derived from the spec, not named in it.
+    pub fn pipeline(&self) -> Pipeline {
+        let mut program = self.kernel.program(self.scale);
+        if self.config.hint_policy != HintPolicy::DynamicOnly {
+            let hints = compile_hints(&program);
+            program = program.with_hints(hints);
+        }
+        Pipeline::new(program, self.build_renamer(), self.sim.clone())
+    }
+
+    /// A fresh renamer of the spec's scheme and configuration.
+    pub fn build_renamer(&self) -> Box<dyn Renamer> {
+        self.renamer.build(self.config.clone())
+    }
+
     /// Simulates the run. Never cached: every call simulates.
     pub fn run(&self) -> Result<SimReport, SimError> {
-        let renamer = self.renamer.build(self.config.clone());
-        Pipeline::new(self.kernel.program(self.scale), renamer, self.sim.clone()).run()
+        self.pipeline().run()
     }
 
     /// The memo key: 128-bit FNV-1a over the spec's derived [`Hash`]
@@ -101,11 +120,12 @@ impl fmt::Display for RunSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} ({:?} renamer, int banks {:?}, fp banks {:?}, scale {})",
+            "{} ({:?} renamer, int banks {:?}, fp banks {:?}, {:?} hints, scale {})",
             self.kernel.name,
             self.renamer,
             self.config.int_banks.sizes(),
             self.config.fp_banks.sizes(),
+            self.config.hint_policy,
             self.scale
         )
     }

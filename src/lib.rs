@@ -40,16 +40,19 @@ pub use regshare_stats as stats;
 pub use regshare_workloads as workloads;
 
 pub mod harness {
-    //! Shared experiment plumbing: build a renamer for a scheme, run a
-    //! kernel through the timing simulator, name a run as a [`RunSpec`]
-    //! and simulate each distinct one once through a [`RunMemo`].
+    //! Shared experiment plumbing. A kernel run is named as a
+    //! [`RunSpec`] and built by [`RunSpec::pipeline`]; [`RunMemo`]
+    //! simulates each distinct spec once, and [`run_kernel_sampled`]
+    //! runs specs' schemes through the two-speed engine's sampled
+    //! windows. [`run_kernel`] and [`renamer_for`] are the one-shot
+    //! forms of the same specs.
 
     use regshare_core::{BankConfig, Renamer, RenamerConfig};
     use regshare_isa::RegClass;
     use regshare_sim::{
-        run_window, sample_windows, SampledConfig, SampledReport, SimConfig, SimReport,
+        run_window_schemes, sample_windows, SampledConfig, SampledReport, SimConfig, SimReport,
     };
-    use regshare_workloads::{Kernel, Suite};
+    use regshare_workloads::{all_kernels, Kernel, Suite};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     mod memo;
@@ -90,8 +93,8 @@ pub mod harness {
 
     /// [`par_map`] with an explicit worker count (`None` = one per
     /// available core). Results are in input order and bit-identical for
-    /// every worker count — the property the time-parallel slicing
-    /// determinism test pins down by sweeping `workers`.
+    /// every worker count — the property the `sample` experiment's
+    /// worker-count test pins down by sweeping `workers`.
     pub fn par_map_with<T, R, F>(items: &[T], workers: Option<usize>, f: F) -> Vec<R>
     where
         T: Sync,
@@ -148,6 +151,49 @@ pub mod harness {
             Suite::Fp | Suite::Cognitive => RegClass::Fp,
             Suite::Int | Suite::Media => RegClass::Int,
         }
+    }
+
+    /// The workload kernel called `name`.
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, listing every kernel's name.
+    pub fn kernel_by_name(name: &str) -> Result<Kernel, String> {
+        let kernels = all_kernels();
+        kernels
+            .iter()
+            .find(|k| k.name == name)
+            .copied()
+            .ok_or_else(|| {
+                let known: Vec<&str> = kernels.iter().map(|k| k.name).collect();
+                format!("unknown kernel {name:?} (known: {})", known.join(", "))
+            })
+    }
+
+    /// Checks that the renamer can build a swept `swept` file of
+    /// `rf_regs` registers: the file must hold more than its class's
+    /// logical registers, and the equal-area proposed scheme
+    /// (`table_iii`) needs the size's Table III row.
+    ///
+    /// # Errors
+    ///
+    /// The rule the size breaks, worded for the caller to put the size
+    /// in front as it spells it (`rf 24 …`, `--regs 24 …`).
+    pub fn check_swept_rf(rf_regs: usize, swept: RegClass, table_iii: bool) -> Result<(), String> {
+        if rf_regs <= swept.num_regs() {
+            return Err(format!(
+                "leaves nothing to rename: the swept {swept} file needs more than its {} \
+                 logical registers",
+                swept.num_regs()
+            ));
+        }
+        if table_iii && !BankConfig::PAPER_SIZES.contains(&rf_regs) {
+            return Err(format!(
+                "has no Table III equal-area split for the proposed scheme (valid: {:?})",
+                BankConfig::PAPER_SIZES
+            ));
+        }
+        Ok(())
     }
 
     /// Which renaming scheme to simulate.
@@ -259,43 +305,37 @@ pub mod harness {
             })
     }
 
-    /// Runs one kernel through the two-speed engine: a sequential
-    /// functional-warming pass with periodic detailed windows, the
-    /// windows of each batch sliced across `workers` threads (`None` =
-    /// one per core). Window positions depend only on `(plan, scale,
-    /// lead)` and every window runs from its own checkpoint clone, so
-    /// the report is bit-identical for any worker count.
+    /// Runs one kernel through the two-speed engine under each of
+    /// `schemes`, the points [`RunSpec::scheme`] names: one sequential
+    /// functional-warming pass, each window run for every scheme from
+    /// one shared functional lead as soon as its checkpoint is taken.
+    /// Window positions depend only on `(plan, scale, lead)`, so each
+    /// report is the one a one-scheme call gives.
     ///
     /// # Panics
     ///
     /// Panics if a window's detailed simulation errors — a sampled
     /// experiment must never silently drop an observation.
-    pub fn run_kernel_sampled(
+    pub fn run_kernel_sampled<const N: usize>(
         kernel: &Kernel,
-        scheme: Scheme,
+        schemes: [Scheme; N],
         rf_regs: usize,
         scale: u64,
         sample: &SampledConfig,
-        workers: Option<usize>,
-    ) -> SampledReport {
-        let program = kernel.program(scale);
-        let swept = swept_class(kernel.suite);
-        let rconfig = renamer_config_for(scheme, rf_regs, swept);
+    ) -> [SampledReport; N] {
+        let specs = schemes.map(|s| RunSpec::scheme(*kernel, s, rf_regs, scale));
         let config = experiment_config(scale);
-        sample_windows(&program, &config, sample, scale, |jobs| {
-            par_map_with(&jobs, workers, |job| {
-                let renamer = renamer_for(scheme, rf_regs, swept);
-                match run_window(job, renamer, &rconfig, config.clone()) {
-                    Ok(r) => r,
-                    Err(e) => panic!(
-                        "{} ({}, {} regs) window at {}: {e}",
-                        kernel.name,
-                        scheme.label(),
-                        rf_regs,
-                        job.spec.start
-                    ),
-                }
-            })
+        sample_windows(&kernel.program(scale), &config, sample, scale, |job| {
+            let start = job.spec.start;
+            let renamers = specs
+                .iter()
+                .map(|s| (s.build_renamer(), &s.config))
+                .collect();
+            let mut results = run_window_schemes(job, renamers, &config)
+                .into_iter()
+                .zip(&specs)
+                .map(|(r, spec)| r.unwrap_or_else(|e| panic!("{spec} window at {start}: {e}")));
+            std::array::from_fn(|_| results.next().expect("one result per scheme"))
         })
     }
 }

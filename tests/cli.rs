@@ -3,6 +3,7 @@
 
 use regshare::core::BankConfig;
 use regshare::experiments::registry;
+use regshare::workloads::all_kernels;
 use std::process::{Command, Output};
 
 const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
@@ -69,6 +70,22 @@ fn experiments_help_lists_every_registered_experiment() {
 fn experiments_bench_is_an_unknown_experiment() {
     let out = run(EXPERIMENTS, &["bench", "--scale", "1000"], "");
     assert_rejected(out, "bench", "unknown experiment: bench");
+}
+
+#[test]
+fn experiments_rejects_unknown_kernels_before_connecting() {
+    // Nothing listens on port 9: a submit that got as far as connecting
+    // would report the service unreachable instead.
+    let out = run(
+        EXPERIMENTS,
+        &["submit", "--port", "9"],
+        "--kernels saxpy,nope",
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_rejected(out, "--kernels saxpy,nope", "unknown kernel \"nope\"");
+    for kernel in all_kernels() {
+        assert!(stderr.contains(kernel.name), "{stderr}");
+    }
 }
 
 #[test]

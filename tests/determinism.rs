@@ -10,10 +10,9 @@
 //! golden_probe`).
 
 use regshare::harness::{
-    experiment_config, par_map, renamer_for, run_kernel, run_kernel_sampled, swept_class, Scheme,
+    experiment_config, par_map, renamer_for, run_kernel, swept_class, RunSpec, Scheme,
 };
-use regshare::sim::{Pipeline, SampledConfig};
-use regshare::stats::SamplePlan;
+use regshare::sim::{Pipeline, SimReport};
 use regshare::workloads::all_kernels;
 
 const SCALE: u64 = 8_000;
@@ -101,12 +100,21 @@ fn every_kernel_matches_golden_counts() {
     );
 }
 
+/// The report without its host-time fields.
+fn deterministic(report: &SimReport) -> String {
+    let mut r = report.clone();
+    r.wall_seconds = 0.0;
+    r.profile.nanos = Default::default();
+    format!("{r:?}")
+}
+
 #[test]
 fn attached_hints_do_not_perturb_dynamic_only_goldens() {
     // A compiled hint table rides along in the program sidecar and is
     // installed into the renamer, but the default `DynamicOnly` policy
-    // must never read it: every kernel must reproduce the same golden
-    // counts as the bare run above, byte for byte.
+    // must never read it: every kernel must report exactly what the
+    // hint-free run of its `RunSpec` reports (the run `hints` takes its
+    // `DynamicOnly` rows from), in every deterministic field.
     let kernels = all_kernels();
     let mismatches: Vec<String> = par_map(&kernels, |k| {
         let program = k.program(SCALE);
@@ -114,17 +122,10 @@ fn attached_hints_do_not_perturb_dynamic_only_goldens() {
         assert!(hints.exact_slots() > 0, "{}: no hints compiled", k.name);
         let renamer = renamer_for(Scheme::Proposed, RF_REGS, swept_class(k.suite));
         let mut sim = Pipeline::new(program.with_hints(hints), renamer, experiment_config(SCALE));
-        let r = sim.run().expect("kernel runs");
-        let want = GOLDEN
-            .iter()
-            .find(|(n, s, _, _)| *n == k.name && *s == Scheme::Proposed)
-            .unwrap();
-        ((k.name, Scheme::Proposed, r.cycles, r.committed_instructions) != *want).then(|| {
-            format!(
-                "{}: got ({}, {}), want ({}, {})",
-                k.name, r.cycles, r.committed_instructions, want.2, want.3
-            )
-        })
+        let got = deterministic(&sim.run().expect("kernel runs"));
+        let spec = RunSpec::scheme(*k, Scheme::Proposed, RF_REGS, SCALE);
+        let want = deterministic(&spec.run().expect("kernel runs"));
+        (got != want).then(|| format!("{}:\n  got  {got}\n  want {want}", k.name))
     })
     .into_iter()
     .flatten()
@@ -146,31 +147,6 @@ fn repeated_runs_are_bit_identical() {
     assert_eq!(a.committed_instructions, b.committed_instructions);
     assert_eq!(a.committed_uops, b.committed_uops);
     assert_eq!(a.rename.reuse_fraction(), b.rename.reuse_fraction());
-}
-
-#[test]
-fn sliced_sampled_runs_are_identical_for_any_worker_count() {
-    // Time-parallel slicing promises byte-identical window results
-    // regardless of how many workers the windows are spread over: each
-    // window runs from a checkpoint clone at a position that is a pure
-    // function of the plan. Wall-clock fields are the one legitimate
-    // difference, so compare everything but them.
-    let kernels = all_kernels();
-    let k = kernels.iter().find(|k| k.name == "matmul").unwrap();
-    let sample = SampledConfig::new(SamplePlan::new(10_000, 1_000, 3_000));
-    let runs: Vec<Vec<(u64, u64, u64, u64)>> = [1usize, 2, 8]
-        .iter()
-        .map(|&workers| {
-            run_kernel_sampled(k, Scheme::Proposed, RF_REGS, 60_000, &sample, Some(workers))
-                .windows
-                .iter()
-                .map(|w| (w.start, w.instructions, w.cycles, w.uops))
-                .collect()
-        })
-        .collect();
-    assert!(!runs[0].is_empty(), "expected at least one window");
-    assert_eq!(runs[0], runs[1], "1 worker vs 2 workers diverged");
-    assert_eq!(runs[0], runs[2], "1 worker vs 8 workers diverged");
 }
 
 #[test]

@@ -1,12 +1,14 @@
-//! The run memo: a hit replays what an uncached run reports, concurrent
-//! requests for one spec simulate it once, a failed run is never cached,
-//! and the memoised experiments write the same bytes whatever ran
-//! before them in the process.
+//! Run specs and the run memo: a spec that reads static hints runs with
+//! its compiled hint table, a hit replays what an uncached run reports,
+//! concurrent requests for one spec simulate it once, a failed run is
+//! never cached, and the memoised experiments write the same bytes
+//! whatever ran before them in the process.
 
-use regshare::core::RenamerConfig;
+use regshare::analyze::compile_hints;
+use regshare::core::{HintPolicy, RenamerConfig};
 use regshare::experiments::{registry, Args};
 use regshare::harness::{par_map_with, RenamerKind, RunMemo, RunSpec, Scheme};
-use regshare::sim::SimReport;
+use regshare::sim::{Pipeline, SimReport};
 use regshare::workloads::all_kernels;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
@@ -14,12 +16,13 @@ use std::sync::{Arc, Barrier};
 const SCALE: u64 = 4_000;
 
 /// The experiments whose detailed runs go through the memo.
-const MEMOISED: [&str; 9] = [
+const MEMOISED: [&str; 10] = [
     "fig10",
     "fig10ec",
     "fig11",
     "fig12",
     "analyze",
+    "hints",
     "ablate-counter",
     "ablate-speculation",
     "ablate-predictor",
@@ -95,6 +98,27 @@ fn a_hit_replays_the_uncached_report_for_every_renamer_kind() {
 }
 
 #[test]
+fn a_static_only_spec_runs_with_the_compiled_hint_table() {
+    let mut static_speculations = 0;
+    for kernel in all_kernels() {
+        let mut spec = RunSpec::scheme(kernel, Scheme::Proposed, 64, SCALE);
+        spec.config.hint_policy = HintPolicy::StaticOnly;
+        let program = kernel.program(SCALE);
+        let hints = compile_hints(&program);
+        let renamer = spec.renamer.build(spec.config.clone());
+        let mut direct = Pipeline::new(program.with_hints(hints), renamer, spec.sim.clone());
+        let report = spec.run().unwrap();
+        assert_eq!(
+            deterministic(&report),
+            deterministic(&direct.run().unwrap()),
+            "{spec}: the spec's run differs from one on the hinted program"
+        );
+        static_speculations += report.hints.static_speculations;
+    }
+    assert!(static_speculations > 0, "no kernel speculated on a hint");
+}
+
+#[test]
 fn two_workers_asking_for_one_spec_simulate_it_once() {
     let spec = RunSpec::scheme(all_kernels()[0], Scheme::Proposed, 64, SCALE);
     let memo = RunMemo::new();
@@ -129,8 +153,8 @@ fn memoised_experiments_simulate_each_distinct_point_once() {
     let args = args_into(&out, 10);
     run_experiments(&MEMOISED, &args);
     let _ = std::fs::remove_dir_all(&out);
-    assert_eq!(args.memo.requested(), 1656);
-    assert_eq!(args.memo.simulated(), 738);
+    assert_eq!(args.memo.requested(), 1710);
+    assert_eq!(args.memo.simulated(), 774);
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! periodic measured windows over a functionally-warmed stream; its
 //! whole claim is that the window-mean IPC estimates the full-run IPC.
 //! These tests check that claim end to end at a scale (10⁵) where the
-//! full detailed run is still affordable, and that the `sample`
+//! full detailed run is still affordable, that schemes sampled together
+//! get the reports one-scheme runs get, and that the `sample`
 //! experiment writes the same bytes for any worker count.
 
 use regshare::experiments::{registry, Args};
@@ -39,7 +40,7 @@ fn sampled_ci_covers_full_detailed_ipc() {
         let k = kernels.iter().find(|k| k.name == name).unwrap();
         let full = run_kernel(k, Scheme::Proposed, RF_REGS, SCALE);
         let full_ipc = full.committed_instructions as f64 / full.cycles as f64;
-        let sampled = run_kernel_sampled(k, Scheme::Proposed, RF_REGS, SCALE, &plan(), Some(2));
+        let [sampled] = run_kernel_sampled(k, [Scheme::Proposed], RF_REGS, SCALE, &plan());
         if !sampled.ci_covers(full_ipc) {
             failures.push(format!(
                 "{name}: full IPC {full_ipc:.4} outside sampled {:.4} ±{:.4} ({} windows)",
@@ -66,7 +67,7 @@ fn sampled_report_accounts_for_both_speeds() {
     // checkpoint at instruction 0.)
     let mut sample = plan();
     sample.lead = 2_000;
-    let r = run_kernel_sampled(k, Scheme::Baseline, RF_REGS, SCALE, &sample, Some(2));
+    let [r] = run_kernel_sampled(k, [Scheme::Baseline], RF_REGS, SCALE, &sample);
     // The warming pass covers the stream the windows sample from.
     assert!(r.warm_instructions > 0);
     assert!(r.detailed_instructions > 0);
@@ -74,6 +75,27 @@ fn sampled_report_accounts_for_both_speeds() {
     let live = r.windows.iter().filter(|w| w.cycles > 0).count() as u64;
     assert_eq!(r.ipc.count(), live);
     assert!(live >= 2, "expected several live windows at this scale");
+}
+
+#[test]
+fn schemes_sampled_together_match_one_scheme_runs() {
+    // One call runs both schemes from each window's shared lead; each
+    // report must be the one a call for that scheme alone gives. sad at
+    // 48 registers times differently under the two schemes, so a report
+    // handed to the wrong scheme shows.
+    const RF: usize = 48;
+    let kernels = all_kernels();
+    let k = kernels.iter().find(|k| k.name == "sad").unwrap();
+    let schemes = [Scheme::Baseline, Scheme::Proposed];
+    let together = run_kernel_sampled(k, schemes, RF, SCALE, &plan());
+    assert_ne!(together[0].windows, together[1].windows);
+    for (scheme, report) in schemes.into_iter().zip(&together) {
+        let [alone] = run_kernel_sampled(k, [scheme], RF, SCALE, &plan());
+        assert_eq!(report.windows, alone.windows, "{scheme:?}");
+        assert_eq!(report.warm_instructions, alone.warm_instructions);
+        assert_eq!(report.detailed_instructions, alone.detailed_instructions);
+        assert_eq!(report.ipc_mean().to_bits(), alone.ipc_mean().to_bits());
+    }
 }
 
 #[test]

@@ -281,6 +281,22 @@ fn proposed_rf_without_a_table_iii_row_dead_letters_without_a_panic() {
 }
 
 #[test]
+fn a_file_too_small_to_rename_is_an_error_not_a_panic() {
+    // saxpy sweeps the fp file; 24 registers cannot even hold its 32
+    // logical registers.
+    let err = SimExecutor
+        .run(
+            &sim_payload("saxpy", "baseline", 24),
+            &Arc::new(AtomicBool::new(false)),
+        )
+        .expect_err("a 24-register fp file cannot be built");
+    assert!(
+        err.contains("rf 24") && err.contains("32 logical registers"),
+        "the error names the size and the logical registers: {err}"
+    );
+}
+
+#[test]
 fn truncated_journal_replay_finishes_the_remainder() {
     let cfg = config("journal");
     let data_dir = cfg.data_dir.clone();
