@@ -489,11 +489,6 @@ impl Analysis for UseCounts {
     }
 }
 
-/// Solves the consumer-count analysis.
-pub fn use_counts(cfg: &Cfg, insts: &[Inst]) -> BlockFacts<CountFact> {
-    solve_backward(cfg, insts, &UseCounts)
-}
-
 impl Analysis for UseCountsWithPin<'_> {
     type Fact = CountFact;
 

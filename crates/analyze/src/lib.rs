@@ -6,19 +6,19 @@
 //! produced value is consumed exactly once *on one execution*. This crate
 //! answers the complementary static questions:
 //!
-//! * [`cfg`] — control-flow graph construction (basic blocks, edges,
+//! * [`mod@cfg`] — control-flow graph construction (basic blocks, edges,
 //!   reachability, dominators) directly over instruction indices.
 //! * [`dataflow`] — a worklist framework with liveness, reaching
 //!   definitions / def-use chains, maybe-uninitialized reads, and a
 //!   consumer-count analysis bounding how many times each value can be
 //!   read.
-//! * [`classify`] — per-definition-site verdicts: provably dead,
+//! * [`mod@classify`] — per-definition-site verdicts: provably dead,
 //!   guaranteed single consumer (with or without the safe redefining
 //!   shape), multi-consumer, or branch-dependent.
 //! * [`memdis`] — conservative store/load disambiguation over
 //!   block-locally value-numbered address expressions, feeding the
 //!   dead-store classification and lint.
-//! * [`lint`] — a program verifier with machine-readable diagnostics,
+//! * [`mod@lint`] — a program verifier with machine-readable diagnostics,
 //!   exercised in CI against [`corpus`], a seeded set of deliberately
 //!   broken programs.
 //! * [`oracle`] — runs the functional emulator and cross-checks every

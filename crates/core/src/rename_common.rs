@@ -11,7 +11,7 @@
 
 use crate::renamer::{RenameStats, RenamerConfig};
 use crate::{BankConfig, FreeList, MapTable, PhysReg, TaggedReg};
-use regshare_isa::{ArchReg, HartId, RegClass, MAX_HARTS};
+use regshare_isa::{ArchReg, RegClass, MAX_HARTS};
 use std::collections::VecDeque;
 
 /// The rename-table state every scheme owns: one speculative map table
@@ -95,19 +95,9 @@ impl RenameTables {
         &self.maps[0]
     }
 
-    /// The current (speculative) rename map of one hart.
-    pub fn map_of(&self, hart: HartId) -> &MapTable {
-        &self.maps[hart.index()]
-    }
-
     /// The retirement (architectural) rename map of hart 0.
     pub fn retire_map(&self) -> &MapTable {
         &self.retire_maps[0]
-    }
-
-    /// The retirement (architectural) rename map of one hart.
-    pub fn retire_map_of(&self, hart: HartId) -> &MapTable {
-        &self.retire_maps[hart.index()]
     }
 
     /// The bank layout of one register class.

@@ -5,51 +5,6 @@ use regshare_isa::{OpClass, MAX_HARTS};
 use regshare_mem::HierarchyConfig;
 use serde::{Deserialize, Serialize};
 
-/// Which order the issue stage considers operand-ready micro-ops in
-/// (the [`crate::IssueSelect`] implementation to instantiate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum IssuePolicyKind {
-    /// Oldest (lowest sequence number) first — the classic age-ordered
-    /// select matrix, and the behaviour the paper's results assume.
-    #[default]
-    OldestFirst,
-    /// Youngest first — a deliberately adversarial select order that
-    /// exercises dependence tracking under maximal reordering.
-    YoungestFirst,
-}
-
-/// How mis-speculation recovery is charged (the
-/// [`crate::RecoveryPolicy`] implementation to instantiate). Both
-/// policies restore identical architectural state; they differ only in
-/// the extra redirect cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum RecoveryPolicyKind {
-    /// Walk the rename checkpoints youngest-first and charge
-    /// `SimConfig::recover_bandwidth` shadow-cell recover commands per
-    /// cycle (§IV-C1) — the paper's model and the default.
-    #[default]
-    CheckpointWalk,
-    /// Squash-all: a flash restore of every shadow cell inside the
-    /// redirect bubble, charging no extra cycles — the idealised
-    /// checkpoint-RAM recovery conventional cores approximate.
-    SquashAll,
-}
-
-/// Which hardware thread gets the fetch stage each cycle when several
-/// are resident (the [`crate::FetchPolicy`] implementation to
-/// instantiate). Irrelevant — and byte-identical — with one thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum FetchPolicyKind {
-    /// Rotate through the threads cycle by cycle, skipping ineligible
-    /// ones — the simplest fair arbiter, and the default.
-    #[default]
-    RoundRobin,
-    /// ICOUNT (Tullsen et al., ISCA '96): fetch for the eligible thread
-    /// with the fewest micro-ops in flight, so fast-moving threads are
-    /// not starved by a stalled one clogging the shared window.
-    Icount,
-}
-
 /// One functional-unit pool: how many units execute an [`OpClass`], at
 /// what latency, and whether they accept a new operation every cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -72,8 +27,6 @@ pub struct SimConfig {
     /// load/store-queue partition; the physical register file, issue
     /// queue, functional units and predictors are shared.
     pub threads: usize,
-    /// Fetch-thread arbitration when `threads > 1`.
-    pub fetch_policy: FetchPolicyKind,
     /// Instructions fetched per cycle.
     pub fetch_width: usize,
     /// Fetch-queue capacity (32 in Table I).
@@ -101,10 +54,6 @@ pub struct SimConfig {
     pub exception_penalty: u32,
     /// Shadow-cell recover commands executed per recovery cycle.
     pub recover_bandwidth: u32,
-    /// Issue-stage selection order.
-    pub issue_policy: IssuePolicyKind,
-    /// Mis-speculation recovery timing model.
-    pub recovery_policy: RecoveryPolicyKind,
     /// Functional-unit pools.
     pub fus: Vec<(OpClass, FuConfig)>,
     /// Branch predictor configuration.
@@ -145,7 +94,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             threads: 1,
-            fetch_policy: FetchPolicyKind::default(),
             fetch_width: 3,
             fetch_queue: 32,
             decode_width: 3,
@@ -159,8 +107,6 @@ impl Default for SimConfig {
             mispredict_penalty: 15,
             exception_penalty: 40,
             recover_bandwidth: 4,
-            issue_policy: IssuePolicyKind::default(),
-            recovery_policy: RecoveryPolicyKind::default(),
             fus: vec![
                 (
                     OpClass::IntAlu,

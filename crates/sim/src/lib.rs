@@ -57,7 +57,6 @@ mod fu;
 mod inject;
 mod lsq;
 mod pipeline;
-mod policy;
 mod profile;
 mod recovery;
 mod report;
@@ -70,16 +69,12 @@ mod wheel;
 
 pub use bpred::{BranchPredictor, BranchPredictorConfig};
 pub use cancel::{CancelToken, CANCEL_CHECK_INTERVAL};
-pub use config::{FetchPolicyKind, FuConfig, IssuePolicyKind, RecoveryPolicyKind, SimConfig};
+pub use config::{FuConfig, SimConfig};
 pub use errors::{HeadSnapshot, PipelineSnapshot, SimError, TraceEvent, TraceStage};
 pub use fu::FuPool;
 pub use inject::{InjectEvent, InjectKind, InjectSchedule, InjectStats};
 pub use lsq::{LoadStoreQueue, LsqError, StoreSearch};
 pub use pipeline::Pipeline;
-pub use policy::{
-    CheckpointWalk, FetchPolicy, IcountFetch, IssueSelect, OldestFirst, RecoveryPolicy,
-    RoundRobinFetch, SquashAll, YoungestFirst,
-};
 pub use profile::{StageProfile, StageSlot, StageTimer, NUM_STAGE_SLOTS, STAGE_SLOT_NAMES};
 pub use report::SimReport;
 pub use sampled::{

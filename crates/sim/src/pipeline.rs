@@ -13,7 +13,6 @@ use crate::cancel::{CancelToken, CANCEL_CHECK_INTERVAL};
 use crate::core_state::{CoreState, RobEntry, SeqSet, StageIo, ThreadCtx};
 use crate::errors::{PipelineSnapshot, SimError, TraceEvent};
 use crate::inject::{InjectSchedule, InjectState, InjectStats};
-use crate::policy::RecoveryPolicy;
 use crate::profile::{StageSlot, StageTimer};
 use crate::recovery;
 use crate::rob::Rob;
@@ -50,7 +49,6 @@ pub struct Pipeline {
     execute: ExecuteStage,
     writeback: WritebackStage,
     commit: CommitStage,
-    recovery: Box<dyn RecoveryPolicy>,
     cancel: Option<CancelToken>,
     /// A configuration rejected by [`SimConfig::validate`] at
     /// construction; surfaced as the run's error before any cycle is
@@ -61,9 +59,7 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// Creates a single-thread pipeline at the program entry with cold
-    /// caches and predictors. The issue-selection, fetch and recovery
-    /// policies are built from [`SimConfig::issue_policy`] /
-    /// [`SimConfig::fetch_policy`] / [`SimConfig::recovery_policy`].
+    /// caches and predictors.
     ///
     /// An invalid configuration (see [`SimConfig::validate`]) is not a
     /// panic: the error is held and returned by the first `run` call.
@@ -207,9 +203,6 @@ impl Pipeline {
         if let Some(h) = inits[0].program.hints() {
             renamer.install_hints(h);
         }
-        let issue_select = config.issue_policy.build();
-        let fetch_policy = config.fetch_policy.build();
-        let recovery = config.recovery_policy.build();
         let rf = [
             RegFile::new(renamer.banks(RegClass::Int)),
             RegFile::new(renamer.banks(RegClass::Fp)),
@@ -290,15 +283,14 @@ impl Pipeline {
         let iq_entries = core.config.iq_entries;
         Pipeline {
             lat: (0..n).map(|_| StageIo::default()).collect(),
-            fetch: FetchStage::new(fetch_policy, n),
+            fetch: FetchStage::new(n),
             decode: DecodeStage,
             rename: RenameStage::new(n),
             dispatch: DispatchStage,
-            issue: IssueStage::new(issue_select, iq_entries),
+            issue: IssueStage::new(iq_entries),
             execute: ExecuteStage,
             writeback: WritebackStage,
             commit: CommitStage,
-            recovery,
             cancel: None,
             config_error: None,
             core,
@@ -355,19 +347,17 @@ impl Pipeline {
     /// Runs one cycle, ticking the stages oldest-first so each stage
     /// sees the machine state its position in the pipe implies.
     fn step(&mut self) -> Result<(), SimError> {
-        let policy = self.recovery.as_ref();
         let mut timer = StageTimer::start(self.core.config.profile);
-        recovery::poll_injections(&mut self.core, &mut self.lat, policy);
+        recovery::poll_injections(&mut self.core, &mut self.lat);
         timer.lap(&mut self.core.profile, StageSlot::Housekeeping);
-        let halted =
-            self.commit.tick(&mut self.core, &mut self.lat, policy)? == StageOutcome::Halted;
+        let halted = self.commit.tick(&mut self.core, &mut self.lat)? == StageOutcome::Halted;
         timer.lap(&mut self.core.profile, StageSlot::Commit);
         if halted {
             return Ok(());
         }
-        self.writeback.tick(&mut self.core, &mut self.lat, policy)?;
+        self.writeback.tick(&mut self.core, &mut self.lat)?;
         timer.lap(&mut self.core.profile, StageSlot::Writeback);
-        recovery::deliver_pending_interrupt(&mut self.core, &mut self.lat, policy);
+        recovery::deliver_pending_interrupt(&mut self.core, &mut self.lat);
         self.core.check_recovery_boundary(&self.lat)?;
         for tid in 0..self.core.threads.len() {
             let ctx = &self.core.threads[tid];

@@ -4,8 +4,9 @@
 //! writeback, injected squash storms, asynchronous interrupts, and
 //! precise exceptions at commit — funnels through
 //! [`squash_younger_than`]: one architectural walk (ROB/IQ/LSQ squash,
-//! rename checkpoint unwind, shadow-cell recover commands) whose cycle
-//! cost is delegated to the configured [`RecoveryPolicy`]. The walk is
+//! rename checkpoint unwind, shadow-cell recover commands). The recover
+//! commands drain at [`crate::SimConfig::recover_bandwidth`] per cycle,
+//! so deep reuse chains lengthen the redirect (§IV-C1). The walk is
 //! per hardware thread: only the squashing thread's ROB partition,
 //! LSQ, latches, and rename checkpoints are touched, while the shared
 //! scoreboard drops exactly that thread's squashed waiters. The
@@ -14,7 +15,6 @@
 
 use crate::core_state::{CoreState, StageIo};
 use crate::inject::InjectKind;
-use crate::policy::RecoveryPolicy;
 use crate::profile::StageSlot;
 use regshare_core::UopKind;
 
@@ -23,11 +23,10 @@ use regshare_core::UopKind;
 /// unresolved branches, LSQ entries and the thread's front-end latches,
 /// then unwinds the thread's rename checkpoints and executes the
 /// shadow-cell recover commands the renamer reports. Returns the extra
-/// redirect cycles the [`RecoveryPolicy`] charges for the restore.
+/// redirect cycles those recover commands cost.
 pub(crate) fn squash_younger_than(
     core: &mut CoreState,
     lat: &mut [StageIo],
-    policy: &dyn RecoveryPolicy,
     tid: usize,
     seq: u64,
 ) -> u32 {
@@ -88,24 +87,29 @@ pub(crate) fn squash_younger_than(
         }
     }
     core.shadow_recovers += recovered as u64;
-    policy.extra_cycles(recovered, &core.config)
+    recover_cycles(recovered, core.config.recover_bandwidth)
+}
+
+/// Cycles to drain `recovers` shadow-cell recover commands at
+/// `bandwidth` per cycle; a zero bandwidth counts as one.
+fn recover_cycles(recovers: u32, bandwidth: u32) -> u32 {
+    recovers.div_ceil(bandwidth.max(1))
 }
 
 /// A squash followed by a fetch redirect: flush everything of thread
 /// `tid` younger than `seq`, re-steer that thread's fetch to
 /// `resume_pc`, and extend its fetch stall by `penalty` plus the
-/// policy's recovery charge. The arch-state diff against the oracle is
-/// armed for the end of the cycle.
+/// recover commands' drain cycles. The arch-state diff against the
+/// oracle is armed for the end of the cycle.
 pub(crate) fn redirect_after_squash(
     core: &mut CoreState,
     lat: &mut [StageIo],
-    policy: &dyn RecoveryPolicy,
     tid: usize,
     seq: u64,
     resume_pc: u64,
     penalty: u32,
 ) {
-    let extra = squash_younger_than(core, lat, policy, tid, seq);
+    let extra = squash_younger_than(core, lat, tid, seq);
     core.threads[tid].fetch_pc = Some(resume_pc);
     core.threads[tid].fetch_stall_until = core.threads[tid]
         .fetch_stall_until
@@ -115,11 +119,7 @@ pub(crate) fn redirect_after_squash(
 
 /// Translates due schedule entries into armed one-shot flags and
 /// executes squash storms on the spot.
-pub(crate) fn poll_injections(
-    core: &mut CoreState,
-    lat: &mut [StageIo],
-    policy: &dyn RecoveryPolicy,
-) {
+pub(crate) fn poll_injections(core: &mut CoreState, lat: &mut [StageIo]) {
     let mut storms: Vec<u8> = Vec::new();
     {
         let Some(inj) = &mut core.inject else { return };
@@ -138,7 +138,7 @@ pub(crate) fn poll_injections(
         }
     }
     for pick in storms {
-        squash_storm(core, lat, policy, pick);
+        squash_storm(core, lat, pick);
     }
 }
 
@@ -148,7 +148,7 @@ pub(crate) fn poll_injections(
 /// thread order and restricted to done, exception-free `Main` micro-ops
 /// so the cut point's `next_pc` is an architecturally valid resume
 /// address; the squash stays within the picked thread.
-fn squash_storm(core: &mut CoreState, lat: &mut [StageIo], policy: &dyn RecoveryPolicy, pick: u8) {
+fn squash_storm(core: &mut CoreState, lat: &mut [StageIo], pick: u8) {
     let mut candidates: Vec<(usize, u64, u64)> = Vec::new();
     for (tid, ctx) in core.threads.iter().enumerate() {
         candidates.extend(
@@ -163,7 +163,7 @@ fn squash_storm(core: &mut CoreState, lat: &mut [StageIo], policy: &dyn Recovery
     }
     let (tid, seq, next_pc) = candidates[pick as usize % candidates.len()];
     let penalty = core.config.mispredict_penalty;
-    redirect_after_squash(core, lat, policy, tid, seq, next_pc, penalty);
+    redirect_after_squash(core, lat, tid, seq, next_pc, penalty);
     if let Some(inj) = &mut core.inject {
         inj.stats.squash_storms += 1;
     }
@@ -176,11 +176,7 @@ fn squash_storm(core: &mut CoreState, lat: &mut [StageIo], policy: &dyn Recovery
 /// as the branch's own squash — nested recovery. Injection targets
 /// thread 0 by construction; the harness runs fault campaigns
 /// single-threaded.
-pub(crate) fn deliver_pending_interrupt(
-    core: &mut CoreState,
-    lat: &mut [StageIo],
-    policy: &dyn RecoveryPolicy,
-) {
+pub(crate) fn deliver_pending_interrupt(core: &mut CoreState, lat: &mut [StageIo]) {
     if !core.inject.as_ref().is_some_and(|i| i.pending_interrupt) {
         return;
     }
@@ -205,8 +201,23 @@ pub(crate) fn deliver_pending_interrupt(
         .map(|e| e.seq.saturating_sub(1))
         .unwrap_or(core.next_seq);
     let penalty = core.config.exception_penalty;
-    redirect_after_squash(core, lat, policy, 0, squash_seq, resume, penalty);
+    redirect_after_squash(core, lat, 0, squash_seq, resume, penalty);
     if let Some(inj) = &mut core.inject {
         inj.stats.interrupts += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::recover_cycles;
+
+    #[test]
+    fn recover_commands_drain_at_the_configured_bandwidth() {
+        assert_eq!(recover_cycles(0, 4), 0);
+        assert_eq!(recover_cycles(1, 4), 1);
+        assert_eq!(recover_cycles(4, 4), 1);
+        assert_eq!(recover_cycles(5, 4), 2);
+        // A zero bandwidth is guarded against division by zero.
+        assert_eq!(recover_cycles(3, 0), 3);
     }
 }

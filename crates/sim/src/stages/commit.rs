@@ -2,7 +2,6 @@
 
 use crate::core_state::{tag_addr, CoreState, RobEntry, StageIo};
 use crate::errors::TraceStage;
-use crate::policy::RecoveryPolicy;
 use crate::profile::StageSlot;
 use crate::recovery;
 use crate::stages::StageOutcome;
@@ -23,7 +22,6 @@ impl CommitStage {
         &mut self,
         core: &mut CoreState,
         lat: &mut [StageIo],
-        policy: &dyn RecoveryPolicy,
     ) -> Result<StageOutcome, SimError> {
         let n = core.threads.len();
         let mut budget = core.config.commit_width;
@@ -39,7 +37,7 @@ impl CommitStage {
                 }
                 if head.exception {
                     let (seq, pc, ea) = (head.seq, head.pc, head.ea);
-                    take_exception(core, lat, policy, tid, seq, pc, ea);
+                    take_exception(core, lat, tid, seq, pc, ea);
                     break;
                 }
                 let Some(head) = core.threads[tid].rob.pop_front() else {
@@ -101,7 +99,6 @@ impl CommitStage {
 fn take_exception(
     core: &mut CoreState,
     lat: &mut [StageIo],
-    policy: &dyn RecoveryPolicy,
     tid: usize,
     seq: u64,
     pc: u64,
@@ -110,7 +107,7 @@ fn take_exception(
     // Flush the faulting thread's pipeline slice, including the faulting
     // instruction (it re-executes after the handler), and restore that
     // thread's precise state. Other threads keep flowing.
-    let extra = recovery::squash_younger_than(core, lat, policy, tid, seq - 1);
+    let extra = recovery::squash_younger_than(core, lat, tid, seq - 1);
     if let Some(addr) = ea {
         core.mem_timing.tlb_mut().take_fault(tag_addr(tid, addr));
     }

@@ -2,25 +2,22 @@
 //! hardware thread per cycle.
 
 use crate::core_state::{tag_addr, CoreState, Fetched, StageIo};
-use crate::policy::FetchPolicy;
 use crate::profile::StageSlot;
 use crate::stages::StageOutcome;
 
-/// The fetch stage. Each cycle the configured [`FetchPolicy`] picks one
-/// eligible hardware thread (not halted, not redirect-stalled, fetch
-/// queue has room); fetch then walks that thread's predicted path
-/// (gshare + BTB), honours i-cache miss latency, and deposits
-/// [`Fetched`] instructions into the thread's fetch → decode latch.
+/// The fetch stage. Each cycle [`icount`] picks one eligible hardware
+/// thread (not halted, not redirect-stalled, fetch queue has room);
+/// fetch then walks that thread's predicted path (gshare + BTB),
+/// honours i-cache miss latency, and deposits [`Fetched`] instructions
+/// into the thread's fetch → decode latch.
 pub(crate) struct FetchStage {
-    policy: Box<dyn FetchPolicy>,
     eligible: Vec<bool>,
     in_flight: Vec<usize>,
 }
 
 impl FetchStage {
-    pub(crate) fn new(policy: Box<dyn FetchPolicy>, threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         FetchStage {
-            policy,
             eligible: vec![false; threads],
             in_flight: vec![0; threads],
         }
@@ -34,10 +31,7 @@ impl FetchStage {
                 && lat[tid].fetched.len() < core.config.fetch_queue;
             self.in_flight[tid] = ctx.rob.len() + lat[tid].fetched.len() + lat[tid].decoded.len();
         }
-        let Some(tid) = self
-            .policy
-            .pick(core.cycle, &self.eligible, &self.in_flight)
-        else {
+        let Some(tid) = icount(&self.eligible, &self.in_flight) else {
             return StageOutcome::Ran;
         };
         let io = &mut lat[tid];
@@ -110,5 +104,38 @@ impl FetchStage {
         }
         core.threads[tid].fetch_pc = Some(pc);
         StageOutcome::Ran
+    }
+}
+
+/// ICOUNT fetch arbitration (Tullsen et al., ISCA '96): the eligible
+/// thread with the fewest micro-ops in flight (ROB partition plus
+/// front-end latches), ties to the lowest thread id, or `None` when no
+/// thread is eligible. A thread stalled on long-latency misses
+/// accumulates in-flight work and so yields fetch to faster ones; with
+/// one thread it picks thread 0 whenever it is eligible.
+fn icount(eligible: &[bool], in_flight: &[usize]) -> Option<usize> {
+    (0..eligible.len())
+        .filter(|&t| eligible[t])
+        .min_by_key(|&t| (in_flight[t], t))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::icount;
+
+    #[test]
+    fn icount_prefers_emptiest_thread() {
+        assert_eq!(icount(&[true, true, true], &[5, 2, 9]), Some(1));
+        // Ties break toward the lowest thread id.
+        assert_eq!(icount(&[true, true], &[4, 4]), Some(0));
+        // Ineligible threads never win, however empty.
+        assert_eq!(icount(&[false, true], &[0, 100]), Some(1));
+        assert_eq!(icount(&[false, false], &[0, 0]), None);
+    }
+
+    #[test]
+    fn icount_with_one_thread_fetches_whenever_it_is_eligible() {
+        assert_eq!(icount(&[true], &[9]), Some(0));
+        assert_eq!(icount(&[false], &[9]), None);
     }
 }

@@ -1,19 +1,17 @@
 //! Issue: select operand-ready micro-ops and send them to execute.
 
 use crate::core_state::{CoreState, StageIo};
-use crate::policy::IssueSelect;
 use crate::profile::StageSlot;
 use crate::stages::{ExecuteStage, StageOutcome};
 use crate::SimError;
 
-/// The issue stage. Orders the ready queue through the configured
-/// [`IssueSelect`] policy and drives [`ExecuteStage::try_execute`] per
-/// candidate, up to `issue_width` successes per cycle. Candidates that
-/// report a structural hazard (busy functional unit, store-set
-/// conflict, unresolved older store) stay in the ready queue and retry
-/// next cycle.
+/// The issue stage. Offers the ready queue's micro-ops oldest first
+/// (the age-ordered select the paper's results assume) to
+/// [`ExecuteStage::try_execute`], up to `issue_width` successes per
+/// cycle. Candidates that report a structural hazard (busy functional
+/// unit, store-set conflict, unresolved older store) stay in the ready
+/// queue and retry next cycle.
 pub(crate) struct IssueStage {
-    select: Box<dyn IssueSelect>,
     /// Scratch buffer reused across cycles for the candidate order.
     cand_scratch: Vec<u64>,
     /// Scratch buffer reused across cycles for this cycle's issues.
@@ -25,9 +23,8 @@ impl IssueStage {
     /// drawn from the ready queue and the issued list from the
     /// candidates, so pre-sizing to the issue queue's capacity keeps
     /// the tick allocation-free from the first cycle.
-    pub(crate) fn new(select: Box<dyn IssueSelect>, iq_entries: usize) -> Self {
+    pub(crate) fn new(iq_entries: usize) -> Self {
         IssueStage {
-            select,
             cand_scratch: Vec::with_capacity(iq_entries),
             issued_scratch: Vec::with_capacity(iq_entries),
         }
@@ -46,7 +43,9 @@ impl IssueStage {
         issued.clear();
         let mut candidates = std::mem::take(&mut self.cand_scratch);
         candidates.clear();
-        self.select.select(core.ready_q.as_slice(), &mut candidates);
+        // The ready queue is sorted by sequence number, oldest first;
+        // `try_execute` needs the core mutably, so walk a copy.
+        candidates.extend_from_slice(core.ready_q.as_slice());
         for seq in candidates.drain(..) {
             if issued.len() >= core.config.issue_width {
                 break;

@@ -2,7 +2,6 @@
 
 use crate::core_state::{tag_addr, CoreState, StageIo};
 use crate::errors::TraceStage;
-use crate::policy::RecoveryPolicy;
 use crate::profile::StageSlot;
 use crate::recovery;
 use crate::stages::StageOutcome;
@@ -22,7 +21,6 @@ impl WritebackStage {
         &mut self,
         core: &mut CoreState,
         lat: &mut [StageIo],
-        policy: &dyn RecoveryPolicy,
     ) -> Result<StageOutcome, SimError> {
         let mut seqs = core.completions.take(core.cycle);
         if seqs.is_empty() {
@@ -96,7 +94,7 @@ impl WritebackStage {
                 if mispredicted {
                     core.mispredicts += 1;
                     let penalty = core.config.mispredict_penalty;
-                    recovery::redirect_after_squash(core, lat, policy, tid, seq, next_pc, penalty);
+                    recovery::redirect_after_squash(core, lat, tid, seq, next_pc, penalty);
                     // Nested-recovery injection: an interrupt scheduled
                     // on this misprediction ordinal is delivered later
                     // this same cycle, mid-recovery.

@@ -61,8 +61,8 @@ impl CompletionWheel {
     /// A wheel whose drain vector is pre-sized for `bound` simultaneous
     /// completions (no single cycle can complete more micro-ops than the
     /// machine holds in flight, so `bound` = ROB capacity suffices) and
-    /// whose buckets hold [`CompletionWheel::BUCKET_BURST`] entries
-    /// before their one-time growth.
+    /// whose buckets hold a small fixed burst of entries before their
+    /// one-time growth.
     pub fn with_in_flight_bound(bound: usize) -> Self {
         let mut slots = Vec::with_capacity(INITIAL_SLOTS);
         slots.resize_with(INITIAL_SLOTS, || Vec::with_capacity(Self::BUCKET_BURST));

@@ -7,9 +7,8 @@
 use regshare_core::{BaselineRenamer, Renamer, RenamerConfig};
 use regshare_isa::{reg, Asm};
 use regshare_sim::{
-    CheckpointWalk, HeadSnapshot, InjectSchedule, InjectStats, IssuePolicyKind, IssueSelect,
-    OldestFirst, Pipeline, PipelineSnapshot, RecoveryPolicy, RecoveryPolicyKind, SimConfig,
-    SimError, SimReport, SquashAll, TraceEvent, TraceStage, YoungestFirst,
+    HeadSnapshot, InjectSchedule, InjectStats, Pipeline, PipelineSnapshot, SimConfig, SimError,
+    SimReport, TraceEvent, TraceStage,
 };
 
 #[test]
@@ -40,16 +39,4 @@ fn pipeline_public_api_is_stable() {
     let _audits: u64 = sim.audits();
     let _cycle: u64 = sim.cycle();
     let _renamer: &dyn Renamer = sim.renamer();
-}
-
-#[test]
-fn policy_types_are_reexported_and_buildable() {
-    let issue: Box<dyn IssueSelect> = IssuePolicyKind::YoungestFirst.build();
-    assert_eq!(issue.name(), YoungestFirst.name());
-    let issue: Box<dyn IssueSelect> = IssuePolicyKind::OldestFirst.build();
-    assert_eq!(issue.name(), OldestFirst.name());
-    let rec: Box<dyn RecoveryPolicy> = RecoveryPolicyKind::SquashAll.build();
-    assert_eq!(rec.name(), SquashAll.name());
-    let rec: Box<dyn RecoveryPolicy> = RecoveryPolicyKind::CheckpointWalk.build();
-    assert_eq!(rec.name(), CheckpointWalk.name());
 }

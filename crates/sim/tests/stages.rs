@@ -1,13 +1,13 @@
 //! Per-stage behaviour tests through the public pipeline API, now that
 //! the stages are isolated modules: commit-stage exception ordering,
 //! issue-stage wakeup on the writeback cycle, rename-stage stalls when
-//! the in-flight rename records exhaust the free list — plus the
-//! config-selected issue/recovery policy integrations and the per-bank
-//! occupancy audit.
+//! the in-flight rename records exhaust the free list — plus recovery
+//! timing under different recover bandwidths and the per-bank occupancy
+//! audit.
 
 use regshare_core::{BaselineRenamer, Renamer, RenamerConfig, ReuseRenamer};
 use regshare_isa::{reg, Asm, Program, RegClass};
-use regshare_sim::{IssuePolicyKind, Pipeline, RecoveryPolicyKind, SimConfig, TraceStage};
+use regshare_sim::{Pipeline, SimConfig, TraceStage};
 
 fn baseline(regs: usize) -> Box<dyn Renamer> {
     Box::new(BaselineRenamer::new(RenamerConfig::baseline(regs)))
@@ -45,57 +45,41 @@ fn branchy_program(iters: i64) -> Program {
 }
 
 // ---------------------------------------------------------------------
-// Config-selected policies (IssuePolicyKind / RecoveryPolicyKind).
+// Recovery timing (SimConfig::recover_bandwidth).
 // ---------------------------------------------------------------------
 
 #[test]
-fn youngest_first_issue_runs_oracle_clean() {
-    let mut oldest_cfg = SimConfig::test();
-    oldest_cfg.issue_policy = IssuePolicyKind::OldestFirst;
-    let mut youngest_cfg = SimConfig::test();
-    youngest_cfg.issue_policy = IssuePolicyKind::YoungestFirst;
-
-    let mut oldest = Pipeline::new(branchy_program(300), baseline(64), oldest_cfg);
-    let mut youngest = Pipeline::new(branchy_program(300), baseline(64), youngest_cfg);
-    let ro = oldest.run().expect("oldest-first run");
-    let ry = youngest.run().expect("youngest-first run");
-
-    // The select order may only reshuffle timing; the lockstep oracle
-    // has already verified every committed instruction, and both runs
-    // must retire the identical program.
-    assert!(ro.halted && ry.halted);
-    assert_eq!(ro.committed_instructions, ry.committed_instructions);
-    assert_eq!(ro.committed_uops, ry.committed_uops);
-}
-
-#[test]
-fn squash_all_recovery_matches_architecture_and_is_no_slower() {
-    let mut walk_cfg = SimConfig::test();
-    walk_cfg.recovery_policy = RecoveryPolicyKind::CheckpointWalk;
-    let mut squash_cfg = SimConfig::test();
-    squash_cfg.recovery_policy = RecoveryPolicyKind::SquashAll;
+fn unbounded_recover_bandwidth_matches_architecture_and_is_no_slower() {
+    let narrow_cfg = SimConfig {
+        recover_bandwidth: 1,
+        ..SimConfig::test()
+    };
+    let wide_cfg = SimConfig {
+        recover_bandwidth: u32::MAX,
+        ..SimConfig::test()
+    };
 
     // The proposed renamer issues shadow-cell recover commands on every
-    // mispredict recovery, which is exactly what the two policies
-    // charge differently.
-    let mut walk = Pipeline::new(branchy_program(400), proposed(64), walk_cfg);
-    let mut squash = Pipeline::new(branchy_program(400), proposed(64), squash_cfg);
-    let rw = walk.run().expect("checkpoint-walk run");
-    let rs = squash.run().expect("squash-all run");
+    // mispredict recovery, and the bandwidth sets how many redirect
+    // cycles those commands cost.
+    let mut narrow = Pipeline::new(branchy_program(400), proposed(64), narrow_cfg);
+    let mut wide = Pipeline::new(branchy_program(400), proposed(64), wide_cfg);
+    let rn = narrow.run().expect("one recover command per cycle");
+    let rw = wide.run().expect("unbounded recover bandwidth");
 
-    assert!(rw.halted && rs.halted);
-    assert!(rw.mispredicts > 0, "program must mispredict to compare");
-    assert_eq!(rw.committed_instructions, rs.committed_instructions);
-    // Identical architectural restore on both policies.
-    assert_eq!(rw.shadow_recovers, rs.shadow_recovers);
-    assert!(rw.shadow_recovers > 0, "recovery machinery must engage");
-    // Squash-all charges zero extra redirect cycles, so it can never be
-    // slower than draining recover commands at recover_bandwidth/cycle.
+    assert!(rn.halted && rw.halted);
+    assert!(rn.mispredicts > 0, "program must mispredict to compare");
+    assert_eq!(rn.committed_instructions, rw.committed_instructions);
+    // Identical architectural restore at either bandwidth.
+    assert_eq!(rn.shadow_recovers, rw.shadow_recovers);
+    assert!(rn.shadow_recovers > 0, "recovery machinery must engage");
+    // Unbounded bandwidth drains every recover command in one cycle, so
+    // it can never be slower than draining one per cycle.
     assert!(
-        rs.cycles <= rw.cycles,
-        "squash-all ({}) slower than checkpoint-walk ({})",
-        rs.cycles,
-        rw.cycles
+        rw.cycles <= rn.cycles,
+        "unbounded bandwidth ({}) slower than one command per cycle ({})",
+        rw.cycles,
+        rn.cycles
     );
 }
 

@@ -81,7 +81,13 @@ fn parse() -> Options {
             "--kernel" => o.kernel = Some(flag_value(&mut args, "--kernel", "a name")),
             "--file" => o.file = Some(flag_value(&mut args, "--file", "a path")),
             "--synthetic" => o.synthetic = true,
-            "--bias" => o.bias = flag_value(&mut args, "--bias", "a number"),
+            "--bias" => {
+                o.bias = flag_value(&mut args, "--bias", "a number");
+                // The generator's coin clamps silently; NaN fails the check.
+                if !(0.0..=1.0).contains(&o.bias) {
+                    die(&format!("--bias must be in [0, 1], got {}", o.bias));
+                }
+            }
             "--seed" => o.seed = flag_value(&mut args, "--seed", "a number"),
             "--scheme" => o.scheme = flag_value(&mut args, "--scheme", "a scheme"),
             "--regs" => o.regs = flag_value(&mut args, "--regs", "a number"),

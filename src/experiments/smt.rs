@@ -6,8 +6,8 @@
 //! [`area::smt_baseline_regs`] (one architectural copy per thread plus a
 //! width-scaled speculative window), ports by [`area::ports_for_width`],
 //! and gives the proposed scheme the equal-area bank split for that
-//! budget. Multi-threaded points fetch under the ICOUNT policy and run
-//! one kernel per hardware thread from a fixed mixed-suite lineup, so
+//! budget. Fetch arbitrates between threads by ICOUNT, and each point
+//! runs one kernel per hardware thread from a fixed mixed-suite lineup, so
 //! the rows answer the paper's open question directly: does the ~10.5%
 //! iso-area reduction survive when 2–4 threads share one physical file?
 
@@ -15,7 +15,7 @@ use super::common::{save, Args, ExpError};
 use crate::area;
 use crate::core::{BankConfig, BaselineRenamer, Renamer, RenamerConfig, ReuseRenamer};
 use crate::harness::{kernel_by_name, par_map, Scheme};
-use crate::sim::{FetchPolicyKind, Pipeline, SimConfig, SimReport};
+use crate::sim::{Pipeline, SimConfig, SimReport};
 use crate::stats::Table;
 use serde::Serialize;
 
@@ -105,11 +105,6 @@ fn run_point(threads: usize, width: usize, scheme: Scheme, scale: u64) -> (usize
         })
         .collect();
     let mut config = SimConfig::default().with_width(width).with_threads(threads);
-    config.fetch_policy = if threads > 1 {
-        FetchPolicyKind::Icount
-    } else {
-        FetchPolicyKind::RoundRobin
-    };
     let budget = scale * threads as u64;
     config.max_instructions = budget;
     // Floored SMT points run the shared file nearly at its architectural

@@ -114,7 +114,6 @@ fn cross_thread_leak_is_caught_under_smt() {
 #[test]
 fn healthy_two_thread_runs_audit_clean_every_cycle() {
     use regshare::core::{BaselineRenamer, Renamer};
-    use regshare::sim::FetchPolicyKind;
     let banks = regshare::core::BankConfig::new(vec![72, 8, 8, 8]);
     let renamers: Vec<(&str, Box<dyn Renamer>)> = vec![
         (
@@ -138,7 +137,6 @@ fn healthy_two_thread_runs_audit_clean_every_cycle() {
     for (label, renamer) in renamers {
         let mut cfg = experiment_config(SCALE * 2).with_threads(2);
         cfg.audit_interval = 1;
-        cfg.fetch_policy = FetchPolicyKind::Icount;
         let programs = vec![
             kernel("hashjoin").program(SCALE),
             kernel("fft").program(SCALE),

@@ -102,6 +102,18 @@ fn regsim_rejects_numbers_it_cannot_parse() {
 }
 
 #[test]
+fn regsim_rejects_a_bias_outside_the_unit_interval() {
+    let fixed = ["--synthetic", "--scheme", "baseline", "--scale", "2000"];
+    for bias in ["1.5", "-0.1", "nan"] {
+        let flags = format!("--bias {bias}");
+        assert_rejected(run(REGSIM, &fixed, &flags), &flags, "--bias");
+    }
+    let out = run(REGSIM, &fixed, "--bias 0.7");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "--bias 0.7: {stderr}");
+}
+
+#[test]
 fn regsim_rejects_register_files_it_cannot_build() {
     let sizes = format!("{:?}", BankConfig::PAPER_SIZES);
     for (flags, needle) in [

@@ -74,7 +74,7 @@ fn interrupt_during_mispredict_recovery_is_transparent() {
 }
 
 /// Pins the exact timing of nested recovery (interrupt delivered inside
-/// a misprediction squash) so the unified `RecoveryPolicy` path can be
+/// a misprediction squash) so the unified recovery path can be
 /// checked against the hand-rolled walks it replaced: same cycles, same
 /// committed count, same delivered-event mix, to the cycle.
 #[test]
