@@ -31,8 +31,6 @@
 //!     <= baseline_area(64, ports, 64) * 1.0001);
 //! ```
 
-pub mod energy;
-
 use regshare_core::BankConfig;
 use serde::{Deserialize, Serialize};
 

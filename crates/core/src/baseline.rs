@@ -3,21 +3,24 @@
 
 use crate::rename_common::{CheckpointStack, RenameTables, SeqRecord};
 use crate::renamer::{RenameStats, Renamer, RenamerConfig, SquashOutcome, Uop, UopKind, UopVec};
-use crate::{BankConfig, MapTable, TaggedReg};
+use crate::{BankConfig, MapTable, PhysReg, TaggedReg};
 use regshare_isa::{ArchReg, HartId, Inst, RegClass};
 
+/// One destination's rename: the mapping it replaced and the one it
+/// installed.
 #[derive(Debug, Clone, Copy)]
-struct DstChange {
-    logical: ArchReg,
-    old_map: TaggedReg,
-    new_map: TaggedReg,
+pub(crate) struct DstChange {
+    pub(crate) logical: ArchReg,
+    pub(crate) old_map: TaggedReg,
+    pub(crate) new_map: TaggedReg,
 }
 
+/// The in-flight record of one renamed micro-op.
 #[derive(Debug, Clone)]
-struct Record {
-    seq: u64,
-    dst: Option<DstChange>,
-    dst2: Option<DstChange>,
+pub(crate) struct Record {
+    pub(crate) seq: u64,
+    pub(crate) dst: Option<DstChange>,
+    pub(crate) dst2: Option<DstChange>,
 }
 
 impl SeqRecord for Record {
@@ -85,6 +88,37 @@ impl BaselineRenamer {
     /// The retirement (architectural) rename map.
     pub fn retire_map(&self) -> &MapTable {
         self.t.retire_map()
+    }
+
+    /// `hart`'s in-flight rename records, oldest first.
+    pub(crate) fn in_flight(&self, hart: HartId) -> impl DoubleEndedIterator<Item = &Record> {
+        self.records[hart.index()].iter()
+    }
+
+    /// Retires `hart`'s oldest record, which must be `seq`'s: pops it and
+    /// installs its mappings in the retirement map. Frees nothing — the
+    /// caller decides when the replaced registers die.
+    pub(crate) fn retire(&mut self, hart: HartId, seq: u64) -> Record {
+        let h = hart.index();
+        let record = self.records[h].commit_front(seq);
+        for d in [record.dst, record.dst2].into_iter().flatten() {
+            self.t.retire_maps[h].set(d.logical, d.new_map);
+        }
+        record
+    }
+
+    /// Returns a dead register to the free list. A freed register is what
+    /// a stalled rename waits for, so the epoch advances.
+    pub(crate) fn release(&mut self, class: RegClass, preg: PhysReg) {
+        self.epoch += 1;
+        self.t.free[class.index()].free(preg, self.t.config.banks(class));
+        self.t.stats.releases += 1;
+        self.t.stats.chain_lengths.record(0);
+    }
+
+    /// The outcome of the latest squash.
+    pub(crate) fn squash_outcome(&self) -> &SquashOutcome {
+        &self.squash
     }
 }
 
@@ -162,17 +196,10 @@ impl Renamer for BaselineRenamer {
     }
 
     fn commit_on(&mut self, hart: HartId, seq: u64) {
-        let h = hart.index();
-        let record = self.records[h].commit_front(seq);
+        // Release-on-commit: the redefined mappings die here.
+        let record = self.retire(hart, seq);
         for d in [record.dst, record.dst2].into_iter().flatten() {
-            // Release-on-commit: the redefined mapping dies here. A freed
-            // register is what a stalled rename waits for.
-            self.epoch += 1;
-            let class = d.old_map.class;
-            self.t.free[class.index()].free(d.old_map.preg, self.t.config.banks(class));
-            self.t.stats.releases += 1;
-            self.t.stats.chain_lengths.record(0);
-            self.t.retire_maps[h].set(d.logical, d.new_map);
+            self.release(d.old_map.class, d.old_map.preg);
         }
     }
 

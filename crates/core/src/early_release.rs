@@ -22,25 +22,11 @@
 //! supported (condition 1 guarantees a releasing redefiner cannot be
 //! squashed by a branch).
 
-use crate::renamer::{RenameStats, Renamer, RenamerConfig, SquashOutcome, Uop, UopKind, UopVec};
-use crate::{BankConfig, FreeList, MapTable, PhysReg, TaggedReg};
-use regshare_isa::{ArchReg, HartId, Inst, RegClass};
+use crate::renamer::{RenameStats, Renamer, RenamerConfig, SquashOutcome, UopVec};
+use crate::{BankConfig, BaselineRenamer, MapTable, PhysReg};
+use regshare_isa::{HartId, Inst, RegClass};
 use regshare_stats::FastHashMap;
 use std::collections::VecDeque;
-
-#[derive(Debug, Clone, Copy)]
-struct DstChange {
-    logical: ArchReg,
-    old_map: TaggedReg,
-    new_map: TaggedReg,
-}
-
-#[derive(Debug, Clone)]
-struct Record {
-    seq: u64,
-    dst: Option<DstChange>,
-    dst2: Option<DstChange>,
-}
 
 #[derive(Debug, Clone, Copy)]
 struct PendingRelease {
@@ -74,11 +60,11 @@ struct PendingRelease {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EarlyReleaseRenamer {
-    config: RenamerConfig,
-    map: MapTable,
-    retire_map: MapTable,
-    free: [FreeList; 2],
-    records: VecDeque<Record>,
+    /// The conventional renamer underneath: maps, free lists, rename
+    /// records, statistics and the state epoch. Its retirement map may
+    /// name a register this scheme has already freed — the lost
+    /// precise state the paper argues against.
+    base: BaselineRenamer,
     /// Pending reads per physical register.
     pending_reads: [Vec<u32>; 2],
     /// Sources each in-flight micro-op has not read yet (inline — a
@@ -100,74 +86,39 @@ pub struct EarlyReleaseRenamer {
     /// Registers each in-flight micro-op will write at its writeback.
     pending_writes: FastHashMap<u64, [Option<(RegClass, PhysReg)>; 2]>,
     ns_boundary: u64,
-    stats: RenameStats,
-    /// Reused squash-outcome storage (`recovers` stays empty: without
-    /// version sharing there are no shadow-cell recover commands).
-    squash: SquashOutcome,
-    /// Bumped by every mutating entry point except a failed rename; see
-    /// [`Renamer::state_epoch`].
-    epoch: u64,
 }
 
 impl EarlyReleaseRenamer {
     /// Creates a renamer with every logical register mapped (conventional
-    /// single-bank layouts; bank splits are ignored beyond totals).
+    /// single-bank layouts; bank splits are ignored beyond totals). The
+    /// scheme is single-threaded: `config.threads` is ignored.
     ///
     /// # Panics
     ///
     /// Panics if a register file is not larger than the logical register
     /// count.
     pub fn new(config: RenamerConfig) -> Self {
-        let mut map = MapTable::new();
-        let mut free = [
-            FreeList::new(&config.int_banks),
-            FreeList::new(&config.fp_banks),
-        ];
-        for class in RegClass::ALL {
-            assert!(
-                config.banks(class).total() > class.num_regs(),
-                "{class} register file must exceed the {} logical registers",
-                class.num_regs()
-            );
-            for i in 0..class.num_regs() {
-                let preg = free[class.index()]
-                    .alloc(0)
-                    .expect("initial mapping fits by the assertion above");
-                map.set(ArchReg::new(class, i as u8), TaggedReg::new(class, preg, 0));
-            }
-        }
-        let retire_map = map.clone();
-        let pending_reads = [
-            vec![0u32; config.int_banks.total()],
-            vec![0u32; config.fp_banks.total()],
-        ];
-        // Initial architectural state counts as written.
-        let producer_written = [
-            vec![true; config.int_banks.total()],
-            vec![true; config.fp_banks.total()],
-        ];
+        let base = BaselineRenamer::new(RenamerConfig {
+            threads: 1,
+            ..config
+        });
+        let regs = |class: RegClass| base.banks(class).total();
         EarlyReleaseRenamer {
-            config,
-            map,
-            retire_map,
-            free,
-            records: VecDeque::new(),
-            pending_reads,
+            pending_reads: RegClass::ALL.map(|c| vec![0; regs(c)]),
             unread: FastHashMap::default(),
             spec_releases: VecDeque::new(),
             blocked_releases: Vec::new(),
-            producer_written,
+            // Initial architectural state counts as written.
+            producer_written: RegClass::ALL.map(|c| vec![true; regs(c)]),
             pending_writes: FastHashMap::default(),
             ns_boundary: 0,
-            stats: RenameStats::new(),
-            squash: SquashOutcome::default(),
-            epoch: 0,
+            base,
         }
     }
 
     /// The current (speculative) rename map.
     pub fn map(&self) -> &MapTable {
-        &self.map
+        self.base.map()
     }
 
     /// Registers currently awaiting their early-release conditions.
@@ -180,14 +131,6 @@ impl EarlyReleaseRenamer {
             && self.producer_written[p.class.index()][p.preg.0 as usize]
     }
 
-    fn free_released(&mut self, p: PendingRelease) {
-        // A freed register is what a stalled rename waits for.
-        self.epoch += 1;
-        self.free[p.class.index()].free(p.preg, self.config.banks(p.class));
-        self.stats.releases += 1;
-        self.stats.chain_lengths.record(0);
-    }
-
     /// Releases every blocked entry whose conditions now hold. Called
     /// after a pending-read counter drops or a producer writes back —
     /// the only events that can unblock an entry, which keeps the
@@ -197,7 +140,7 @@ impl EarlyReleaseRenamer {
         while i < self.blocked_releases.len() {
             let p = self.blocked_releases[i];
             if self.releasable(p) {
-                self.free_released(p);
+                self.base.release(p.class, p.preg);
                 self.blocked_releases.swap_remove(i);
             } else {
                 i += 1;
@@ -221,7 +164,7 @@ impl EarlyReleaseRenamer {
                 break;
             }
             self.check_commit_released(p);
-            self.free_released(p);
+            self.base.release(p.class, p.preg);
             self.spec_releases.pop_front();
         }
         let mut i = 0;
@@ -229,7 +172,7 @@ impl EarlyReleaseRenamer {
             let p = self.blocked_releases[i];
             if p.redefiner_seq == redefiner_seq {
                 self.check_commit_released(p);
-                self.free_released(p);
+                self.base.release(p.class, p.preg);
                 self.blocked_releases.swap_remove(i);
             } else {
                 i += 1;
@@ -251,82 +194,34 @@ impl EarlyReleaseRenamer {
 }
 
 impl Renamer for EarlyReleaseRenamer {
-    fn rename_on(&mut self, hart: HartId, seq: u64, _pc: u64, inst: &Inst) -> Option<UopVec> {
+    fn rename_on(&mut self, hart: HartId, seq: u64, pc: u64, inst: &Inst) -> Option<UopVec> {
         debug_assert_eq!(
             hart,
             HartId::ZERO,
             "the early-release oracle renamer is single-threaded"
         );
-        let mut srcs = [None; 3];
+        let uops = self.base.rename_on(hart, seq, pc, inst)?;
+        // Commit to this rename: count the pending reads (once per
+        // distinct register), mark the new registers as not-yet-written,
+        // and queue the early releases of the replaced mappings.
         let mut read_list = [None; 3];
         let mut n_reads = 0;
-        for (slot, src) in srcs.iter_mut().zip(inst.raw_sources()) {
-            if let Some(r) = src.filter(|r| !r.is_zero()) {
-                let tag = self.map.get(r);
-                *slot = Some(tag);
-                if !read_list.contains(&Some((tag.class, tag.preg))) {
-                    read_list[n_reads] = Some((tag.class, tag.preg));
-                    n_reads += 1;
-                }
+        for tag in uops[0].srcs.iter().flatten() {
+            let read = Some((tag.class, tag.preg));
+            if !read_list.contains(&read) {
+                read_list[n_reads] = read;
+                n_reads += 1;
+                self.pending_reads[tag.class.index()][tag.preg.0 as usize] += 1;
             }
-        }
-
-        let allocate = |this: &mut Self, logical: ArchReg| -> Option<DstChange> {
-            let class = logical.class();
-            let preg = this.free[class.index()].alloc(0)?;
-            let new_map = TaggedReg::new(class, preg, 0);
-            let old_map = this.map.set(logical, new_map);
-            this.stats.allocations += 1;
-            Some(DstChange {
-                logical,
-                old_map,
-                new_map,
-            })
-        };
-        let rollback = |this: &mut Self, d: DstChange| {
-            this.map.set(d.logical, d.old_map);
-            let class = d.new_map.class;
-            this.free[class.index()].free(d.new_map.preg, this.config.banks(class));
-            this.stats.allocations -= 1;
-        };
-
-        let dst_change = match inst.dst() {
-            Some(logical) => match allocate(self, logical) {
-                Some(c) => Some(c),
-                None => {
-                    self.stats.stalls += 1;
-                    return None;
-                }
-            },
-            None => None,
-        };
-        let dst2_change = match inst.dst2() {
-            Some(logical) => match allocate(self, logical) {
-                Some(c) => Some(c),
-                None => {
-                    if let Some(d) = dst_change {
-                        rollback(self, d);
-                    }
-                    self.stats.stalls += 1;
-                    return None;
-                }
-            },
-            None => None,
-        };
-
-        // Commit to this rename: count the pending reads, mark the new
-        // registers as not-yet-written, and queue the early releases of
-        // the replaced mappings.
-        for (class, preg) in read_list.iter().flatten() {
-            self.pending_reads[class.index()][preg.0 as usize] += 1;
         }
         if n_reads > 0 {
             self.unread.insert(seq, read_list);
         }
+        let record = self.base.in_flight(hart).next_back().expect("just renamed");
         let mut writes = [None; 2];
         for (w, d) in writes
             .iter_mut()
-            .zip([dst_change, dst2_change].into_iter().flatten())
+            .zip([record.dst, record.dst2].into_iter().flatten())
         {
             self.producer_written[d.new_map.class.index()][d.new_map.preg.0 as usize] = false;
             *w = Some((d.new_map.class, d.new_map.preg));
@@ -339,32 +234,10 @@ impl Renamer for EarlyReleaseRenamer {
         if writes[0].is_some() {
             self.pending_writes.insert(seq, writes);
         }
-
-        let dst_tag = dst_change.map(|d| d.new_map);
-        let dst2_tag = dst2_change.map(|d| d.new_map);
-        self.records.push_back(Record {
-            seq,
-            dst: dst_change,
-            dst2: dst2_change,
-        });
-        self.stats.renamed += 1;
-        let mut uops = UopVec::new();
-        uops.push(Uop {
-            seq,
-            kind: UopKind::Main,
-            srcs,
-            dst: dst_tag,
-            dst2: dst2_tag,
-        });
         Some(uops)
     }
 
-    fn commit_on(&mut self, _hart: HartId, seq: u64) {
-        let record = self
-            .records
-            .pop_front()
-            .expect("commit without an in-flight rename record");
-        assert_eq!(record.seq, seq, "commits must arrive in rename order");
+    fn commit_on(&mut self, hart: HartId, seq: u64) {
         // A committed reader always issued first, but drain any leftover
         // bookkeeping properly so a counter can never leak and pin a
         // register forever.
@@ -374,21 +247,16 @@ impl Renamer for EarlyReleaseRenamer {
                 *c = c.saturating_sub(1);
             }
         }
-        for d in [record.dst, record.dst2].into_iter().flatten() {
-            self.retire_map.set(d.logical, d.new_map);
-        }
+        self.base.retire(hart, seq);
         self.force_release(seq);
     }
 
-    fn squash_after_on(&mut self, _hart: HartId, seq: u64) -> &SquashOutcome {
-        self.epoch += 1;
-        self.squash.undone = 0;
-        while let Some(record) = self.records.back() {
-            if record.seq <= seq {
-                break;
-            }
-            let record = self.records.pop_back().expect("just checked non-empty");
-            // Give back the reads this micro-op never performed.
+    fn squash_after_on(&mut self, hart: HartId, seq: u64) -> &SquashOutcome {
+        let squashed = self.base.in_flight(hart).rev().take_while(|r| r.seq > seq);
+        for record in squashed {
+            // Give back the reads this micro-op never performed. Its own
+            // registers will never be written now; the base squash frees
+            // them and the flag resets at reallocation.
             if let Some(reads) = self.unread.remove(&record.seq) {
                 for (class, preg) in reads.into_iter().flatten() {
                     let c = &mut self.pending_reads[class.index()][preg.0 as usize];
@@ -396,17 +264,9 @@ impl Renamer for EarlyReleaseRenamer {
                     *c -= 1;
                 }
             }
-            // Its own registers will never be written now; they return to
-            // the free list below and the flag resets at reallocation.
             self.pending_writes.remove(&record.seq);
-            for d in [record.dst2, record.dst].into_iter().flatten() {
-                self.map.set(d.logical, d.old_map);
-                let class = d.new_map.class;
-                self.free[class.index()].free(d.new_map.preg, self.config.banks(class));
-            }
-            self.squash.undone += 1;
-            self.stats.squashed += 1;
         }
+        self.base.squash_after_on(hart, seq);
         // Cancel the squashed micro-ops' queued releases (condition 1
         // guarantees none was released yet: a releasing redefiner is
         // non-speculative and cannot be squashed, so every casualty is
@@ -424,7 +284,7 @@ impl Renamer for EarlyReleaseRenamer {
         );
         // The restored read counters may have unblocked an older entry.
         self.release_unblocked();
-        &self.squash
+        self.base.squash_outcome()
     }
 
     fn on_writeback(&mut self, seq: u64) {
@@ -459,7 +319,7 @@ impl Renamer for EarlyReleaseRenamer {
         {
             let p = self.spec_releases.pop_front().expect("front checked above");
             if self.releasable(p) {
-                self.free_released(p);
+                self.base.release(p.class, p.preg);
             } else {
                 self.blocked_releases.push(p);
             }
@@ -467,42 +327,35 @@ impl Renamer for EarlyReleaseRenamer {
     }
 
     fn state_epoch(&self) -> u64 {
-        self.epoch
+        self.base.state_epoch()
     }
 
-    fn note_stall_on(&mut self, _hart: HartId) {
-        // A failed early-release rename rolls back fully; only the stall
-        // counter survives the attempt.
-        self.stats.stalls += 1;
+    fn note_stall_on(&mut self, hart: HartId) {
+        self.base.note_stall_on(hart);
     }
 
     fn stats(&self) -> &RenameStats {
-        &self.stats
+        self.base.stats()
     }
 
     fn free_regs(&self, class: RegClass) -> usize {
-        self.free[class.index()].free_total()
+        self.base.free_regs(class)
     }
 
     fn in_use_per_bank(&self, class: RegClass) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.in_use_per_bank_into(class, &mut out);
-        out
+        self.base.in_use_per_bank(class)
     }
 
     fn in_use_per_bank_into(&self, class: RegClass, out: &mut Vec<usize>) {
-        let banks = self.config.banks(class);
-        let free = &self.free[class.index()];
-        out.clear();
-        out.extend((0..banks.num_banks()).map(|k| banks.sizes()[k] - free.free_in_bank(k)));
+        self.base.in_use_per_bank_into(class, out);
     }
 
     fn banks(&self, class: RegClass) -> &BankConfig {
-        self.config.banks(class)
+        self.base.banks(class)
     }
 
     fn max_version(&self) -> u8 {
-        self.config.max_version()
+        self.base.max_version()
     }
 }
 

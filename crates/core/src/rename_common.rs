@@ -8,6 +8,9 @@
 //! for the table/free-list state and a [`CheckpointStack`] for their
 //! scheme-specific rename records, keeping only the paper-specific
 //! policy (sharing, version tags, predictors) in their own modules.
+//! [`EarlyReleaseRenamer`](crate::EarlyReleaseRenamer) is a
+//! `BaselineRenamer` plus its release bookkeeping, so it shares this
+//! machinery through the baseline.
 
 use crate::renamer::{RenameStats, RenamerConfig};
 use crate::{BankConfig, FreeList, MapTable, PhysReg, TaggedReg};
@@ -213,8 +216,8 @@ impl<R: SeqRecord> CheckpointStack<R> {
         }
     }
 
-    /// Iterates the in-flight records, oldest first (audits only).
-    pub fn iter(&self) -> impl Iterator<Item = &R> {
+    /// Iterates the in-flight records, oldest first.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &R> {
         self.records.iter()
     }
 

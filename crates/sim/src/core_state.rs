@@ -6,7 +6,7 @@
 //! units and statistics — plus one [`ThreadCtx`] per resident thread for
 //! the private state (program, architectural memory, ROB partition,
 //! load/store-queue partition, fetch PC). [`StageIo`] owns the two
-//! persistent inter-stage queues ([`FetchedBundle`], [`DecodedBundle`]);
+//! persistent inter-stage queues (fetch → decode and decode → rename);
 //! the pipeline driver keeps one `StageIo` per thread. Stage modules
 //! under [`crate::stages`] mutate this state through their `tick`
 //! functions; the helpers here are the pieces several stages share (ROB
@@ -98,64 +98,6 @@ pub(crate) struct Fetched {
     pub(crate) pred: Option<Prediction>,
 }
 
-/// The fetch → decode latch: predicted-path instructions waiting to be
-/// decoded, capacity-bounded by `SimConfig::fetch_queue`.
-#[derive(Debug, Default)]
-pub(crate) struct FetchedBundle {
-    q: VecDeque<Fetched>,
-}
-
-impl FetchedBundle {
-    pub(crate) fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    pub(crate) fn front(&self) -> Option<&Fetched> {
-        self.q.front()
-    }
-
-    pub(crate) fn push_back(&mut self, f: Fetched) {
-        self.q.push_back(f);
-    }
-
-    pub(crate) fn pop_front(&mut self) -> Option<Fetched> {
-        self.q.pop_front()
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.q.clear();
-    }
-}
-
-/// The decode → rename latch: decoded instructions waiting for rename
-/// bandwidth and free structures.
-#[derive(Debug, Default)]
-pub(crate) struct DecodedBundle {
-    q: VecDeque<Fetched>,
-}
-
-impl DecodedBundle {
-    pub(crate) fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    pub(crate) fn front(&self) -> Option<&Fetched> {
-        self.q.front()
-    }
-
-    pub(crate) fn push_back(&mut self, f: Fetched) {
-        self.q.push_back(f);
-    }
-
-    pub(crate) fn pop_front(&mut self) -> Option<Fetched> {
-        self.q.pop_front()
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.q.clear();
-    }
-}
-
 /// The rename → dispatch hand-off: one renamed instruction with its
 /// micro-op expansion. Transient — dispatch consumes it within the same
 /// tick, because rename's capacity checks need dispatch's live ROB/IQ
@@ -173,10 +115,12 @@ pub(crate) struct RenamedBundle {
 /// and passed to each stage's `tick` alongside [`CoreState`].
 #[derive(Debug, Default)]
 pub(crate) struct StageIo {
-    /// Fetch → decode.
-    pub(crate) fetched: FetchedBundle,
-    /// Decode → rename.
-    pub(crate) decoded: DecodedBundle,
+    /// The fetch → decode latch: predicted-path instructions waiting to
+    /// be decoded, capacity-bounded by `SimConfig::fetch_queue`.
+    pub(crate) fetched: VecDeque<Fetched>,
+    /// The decode → rename latch: decoded instructions waiting for
+    /// rename bandwidth and free structures.
+    pub(crate) decoded: VecDeque<Fetched>,
 }
 
 #[derive(Debug, Clone, Copy)]

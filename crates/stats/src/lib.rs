@@ -5,7 +5,6 @@
 //! The timing simulator, the renaming schemes and the experiment harness all
 //! report results through the small set of types defined here:
 //!
-//! * [`Counter`] — a named monotonically increasing event counter.
 //! * [`Histogram`] — a dense integer histogram with an overflow bucket.
 //! * [`Ratio`] — numerator/denominator pairs rendered as percentages.
 //! * [`Sampler`] — exact min/max/mean/percentile over `u64` samples.
@@ -40,68 +39,6 @@ pub use table::{Align, Table};
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// A named, monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use regshare_stats::Counter;
-///
-/// let mut commits = Counter::new("committed_instructions");
-/// commits.add(3);
-/// commits.inc();
-/// assert_eq!(commits.value(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter starting at zero.
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// Increments the counter by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n` events to the counter.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// The name given at construction.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Resets the counter to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.name, self.value)
-    }
-}
 
 /// A numerator/denominator pair, displayed as a percentage.
 ///
@@ -236,24 +173,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_starts_at_zero_and_accumulates() {
-        let mut c = Counter::new("x");
-        assert_eq!(c.value(), 0);
-        c.inc();
-        c.add(10);
-        assert_eq!(c.value(), 11);
-        assert_eq!(c.name(), "x");
-    }
-
-    #[test]
-    fn counter_reset_clears_value() {
-        let mut c = Counter::new("x");
-        c.add(5);
-        c.reset();
-        assert_eq!(c.value(), 0);
-    }
-
-    #[test]
     fn ratio_empty_is_zero_percent() {
         let r = Ratio::new("empty");
         assert_eq!(r.percent(), 0.0);
@@ -303,9 +222,6 @@ mod tests {
 
     #[test]
     fn display_impls_are_nonempty() {
-        let mut c = Counter::new("c");
-        c.inc();
-        assert!(!format!("{c}").is_empty());
         let mut r = Ratio::new("r");
         r.record(true);
         assert!(!format!("{r}").is_empty());

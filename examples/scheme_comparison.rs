@@ -11,26 +11,12 @@
 //! cargo run --release --example scheme_comparison
 //! ```
 
-use regshare::core::{BankConfig, EarlyReleaseRenamer, Renamer, RenamerConfig};
-use regshare::harness::{experiment_config, renamer_for, swept_class, Scheme, FIXED_RF};
-use regshare::isa::RegClass;
+use regshare::harness::{
+    experiment_config, renamer_config_for, renamer_for, swept_class, RenamerKind, Scheme,
+};
 use regshare::sim::Pipeline;
 use regshare::stats::{geomean, Table};
 use regshare::workloads::all_kernels;
-
-fn early(rf: usize, swept: RegClass) -> Box<dyn Renamer> {
-    let fixed = BankConfig::conventional(FIXED_RF);
-    let swept_banks = BankConfig::conventional(rf);
-    let (int_banks, fp_banks) = match swept {
-        RegClass::Int => (swept_banks, fixed),
-        RegClass::Fp => (fixed, swept_banks),
-    };
-    Box::new(EarlyReleaseRenamer::new(RenamerConfig {
-        int_banks,
-        fp_banks,
-        ..RenamerConfig::baseline(rf)
-    }))
-}
 
 fn main() {
     let rf = 56;
@@ -64,8 +50,11 @@ fn main() {
             (r.ipc(), r.rename.reuse_fraction())
         };
         let er = {
-            let mut sim =
-                Pipeline::new(k.program(scale), early(rf, swept), experiment_config(scale));
+            // Early release renames conventionally, at the baseline's
+            // configuration.
+            let early =
+                RenamerKind::EarlyRelease.build(renamer_config_for(Scheme::Baseline, rf, swept));
+            let mut sim = Pipeline::new(k.program(scale), early, experiment_config(scale));
             sim.run().expect("early release").ipc()
         };
         s_share.push(share / base);

@@ -12,6 +12,7 @@
 
 use regshare::experiments::{die, flag_value, registry, Args};
 use regshare::harness::kernel_by_name;
+use std::num::NonZeroU64;
 
 // Count heap traffic so `experiments profile` can report allocations
 // per simulated kilocycle. Two relaxed atomic adds per allocation —
@@ -30,7 +31,11 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => args.scale = flag_value(&mut it, "--scale", "a number"),
+            // Zero would mean no instructions to the experiments but no
+            // cap to `SimConfig::max_instructions`; neither is a run.
+            "--scale" => {
+                args.scale = flag_value::<NonZeroU64>(&mut it, "--scale", "a positive number").get()
+            }
             "--out" => args.out_dir = flag_value(&mut it, "--out", "a directory"),
             "--campaigns" => args.campaigns = flag_value(&mut it, "--campaigns", "a number"),
             "--seed" => args.seed = flag_value(&mut it, "--seed", "a number"),

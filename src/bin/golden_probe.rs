@@ -1,9 +1,12 @@
 //! Prints golden (kernel, scheme) -> (cycles, committed) tuples for the
 //! determinism regression test. Dev tool; output is pasted into
-//! `tests/determinism.rs` (default mode) or `WIDTH_GOLDEN` in
-//! `tests/smt.rs` (`width` mode: the superscalar-width sweep goldens).
+//! `tests/determinism.rs` (default mode), `WIDTH_GOLDEN` in
+//! `tests/smt.rs` (`width` mode: the superscalar-width sweep goldens) or
+//! `EARLY_GOLDEN` in `tests/early_release.rs` (`early` mode: kernel,
+//! cycles, committed and registers released by the early-release
+//! comparator at rf 48).
 
-use regshare::harness::{run_kernel, RunSpec, Scheme};
+use regshare::harness::{run_kernel, RenamerKind, RunSpec, Scheme};
 use regshare::workloads::all_kernels;
 
 fn main() {
@@ -29,6 +32,20 @@ fn main() {
                     );
                 }
             }
+        }
+        return;
+    }
+    if std::env::args().any(|a| a == "early") {
+        // A starved swept file, where early release frees registers
+        // well before commit.
+        for kernel in all_kernels() {
+            let mut spec = RunSpec::scheme(kernel, Scheme::Baseline, 48, scale);
+            spec.renamer = RenamerKind::EarlyRelease;
+            let r = spec.run().expect("early-release golden run");
+            println!(
+                "    (\"{}\", {}, {}, {}),",
+                kernel.name, r.cycles, r.committed_instructions, r.rename.releases
+            );
         }
         return;
     }

@@ -19,6 +19,7 @@ use regshare::isa::RegClass;
 use regshare::sim::{Pipeline, SimConfig};
 use regshare::workloads::all_kernels;
 use regshare::workloads::synthetic::{generate, SyntheticConfig};
+use std::num::NonZeroU64;
 
 struct Options {
     kernel: Option<String>,
@@ -91,7 +92,10 @@ fn parse() -> Options {
             "--seed" => o.seed = flag_value(&mut args, "--seed", "a number"),
             "--scheme" => o.scheme = flag_value(&mut args, "--scheme", "a scheme"),
             "--regs" => o.regs = flag_value(&mut args, "--regs", "a number"),
-            "--scale" => o.scale = flag_value(&mut args, "--scale", "a number"),
+            // Zero would mean no cap to `SimConfig::max_instructions`.
+            "--scale" => {
+                o.scale = flag_value::<NonZeroU64>(&mut args, "--scale", "a positive number").get()
+            }
             "--verify" => o.verify = true,
             "--equal-count" => o.equal_count = true,
             "--fault" => {

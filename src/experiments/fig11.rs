@@ -2,7 +2,6 @@
 //! both proposed configurations, and the early-release comparator.
 
 use super::common::{save, Args, ExpError, RF_SIZES};
-use super::sweeps::early_release_config;
 use crate::harness::{equal_count_config, par_map, swept_class, RenamerKind, RunSpec, Scheme};
 use crate::stats::Table;
 use crate::workloads::all_kernels;
@@ -32,9 +31,15 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
         let swept = swept_class(k.suite);
         let ipc = |spec: RunSpec| args.report(&spec).ipc();
         let equal_count = equal_count_config(rf, swept);
-        let early_release = early_release_config(rf, swept);
+        // Early release renames conventionally: the baseline's point
+        // under the early-release renamer.
+        let baseline = RunSpec::scheme(*k, Scheme::Baseline, rf, args.scale);
+        let early_release = RunSpec {
+            renamer: RenamerKind::EarlyRelease,
+            ..baseline.clone()
+        };
         (
-            ipc(RunSpec::scheme(*k, Scheme::Baseline, rf, args.scale)),
+            ipc(baseline),
             ipc(RunSpec::scheme(*k, Scheme::Proposed, rf, args.scale)),
             ipc(RunSpec::new(
                 *k,
@@ -42,12 +47,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
                 equal_count,
                 args.scale,
             )),
-            ipc(RunSpec::new(
-                *k,
-                RenamerKind::EarlyRelease,
-                early_release,
-                args.scale,
-            )),
+            ipc(early_release),
         )
     });
     let mut rows = Vec::new();

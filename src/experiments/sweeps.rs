@@ -1,12 +1,7 @@
-//! Figures 10 and 10-EC, two speedup sweeps over one harness, and the
-//! early-release comparator's renamer configuration that Figure 11 uses.
+//! Figures 10 and 10-EC, two speedup sweeps over one harness.
 
 use super::common::{save, Args, ExpError, RF_SIZES};
-use crate::core::{BankConfig, RenamerConfig};
-use crate::harness::{
-    equal_count_config, par_map, swept_class, with_swept_banks, RenamerKind, RunSpec, Scheme,
-};
-use crate::isa::RegClass;
+use crate::harness::{equal_count_config, par_map, swept_class, RenamerKind, RunSpec, Scheme};
 use crate::stats::{geomean, Table};
 use crate::workloads::{all_kernels, Kernel, Suite};
 use serde::Serialize;
@@ -42,14 +37,6 @@ pub fn fig10ec(args: &Args) -> Result<(), ExpError> {
         "== Figure 10-EC (extension): equal-register-count speedup vs baseline ==",
         true,
     )
-}
-
-/// The Moudgill/Monreal-style early-release comparator's configuration
-/// (related work, §VII; [`RenamerKind::EarlyRelease`]) at the same
-/// register count as the baseline.
-pub(crate) fn early_release_config(rf_regs: usize, swept: RegClass) -> RenamerConfig {
-    let banks = BankConfig::conventional(rf_regs);
-    with_swept_banks(RenamerConfig::baseline(rf_regs), swept, banks)
 }
 
 fn speedup_sweep(args: &Args, name: &str, title: &str, equal_count: bool) -> Result<(), ExpError> {

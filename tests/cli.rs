@@ -50,6 +50,19 @@ fn experiments_rejects_sample_plans_it_cannot_build() {
 }
 
 #[test]
+fn experiments_rejects_a_zero_scale() {
+    // Zero instructions would "succeed" with a table of zeros.
+    let out_dir = std::env::temp_dir().join(format!("regshare-cli-scale-{}", std::process::id()));
+    let fixed = ["fig1", "--out", out_dir.to_str().unwrap()];
+    assert_rejected(
+        run(EXPERIMENTS, &fixed, "--scale 0"),
+        "--scale 0",
+        "--scale",
+    );
+    assert!(!out_dir.exists(), "a rejected run wrote results");
+}
+
+#[test]
 fn experiments_help_lists_every_registered_experiment() {
     let out = run(EXPERIMENTS, &["--help"], "");
     assert!(out.status.success());
@@ -99,6 +112,13 @@ fn regsim_rejects_numbers_it_cannot_parse() {
     ] {
         assert_rejected(run(REGSIM, &fixed, flags), flags, needle);
     }
+}
+
+#[test]
+fn regsim_rejects_a_zero_scale() {
+    // As an instruction cap, zero would mean "run to halt".
+    let fixed = ["--kernel", "saxpy", "--scheme", "baseline"];
+    assert_rejected(run(REGSIM, &fixed, "--scale 0"), "--scale 0", "--scale");
 }
 
 #[test]

@@ -2,26 +2,70 @@
 //! on every kernel (no exception injection — the scheme does not support
 //! precise exceptions, which is the paper's argument against it).
 
-use regshare::core::{BankConfig, EarlyReleaseRenamer, Renamer, RenamerConfig};
-use regshare::harness::{experiment_config, renamer_for, swept_class, Scheme, FIXED_RF};
+use regshare::core::Renamer;
+use regshare::harness::{
+    experiment_config, renamer_config_for, renamer_for, swept_class, RenamerKind, RunSpec, Scheme,
+};
 use regshare::isa::RegClass;
 use regshare::sim::Pipeline;
 use regshare::workloads::{all_kernels, suite_kernels, Suite};
 
 const SCALE: u64 = 8_000;
 
+/// (kernel, cycles, committed instructions, registers released) of
+/// early release at a 48-register swept file and `SCALE` instructions.
+/// Regenerate with `cargo run --release --bin golden_probe -- early`.
+const EARLY_GOLDEN: [(&str, u64, u64, u64); 18] = [
+    ("saxpy", 6495, 5336, 5334),
+    ("fir", 12608, 7639, 7274),
+    ("dct", 10404, 7591, 7301),
+    ("matmul", 8447, 6984, 7733),
+    ("horner", 22478, 7569, 7567),
+    ("stencil", 10378, 7279, 6550),
+    ("options", 17437, 5617, 6015),
+    ("fft", 5859, 8000, 6910),
+    ("sort", 6122, 6446, 3773),
+    ("hashjoin", 21055, 6166, 5502),
+    ("pchase", 7411, 6672, 5337),
+    ("crc32", 19744, 7276, 4809),
+    ("rle", 16847, 7125, 4451),
+    ("bitcount", 4380, 8002, 4836),
+    ("adpcm", 21196, 8001, 5474),
+    ("sad", 6080, 8000, 7841),
+    ("gmm", 5833, 8001, 9848),
+    ("dnn", 4739, 5031, 5990),
+];
+
+/// The early-release comparator: conventional renaming at the
+/// baseline's configuration.
 fn early_renamer(rf: usize, swept: RegClass) -> Box<dyn Renamer> {
-    let fixed = BankConfig::conventional(FIXED_RF);
-    let swept_banks = BankConfig::conventional(rf);
-    let (int_banks, fp_banks) = match swept {
-        RegClass::Int => (swept_banks, fixed),
-        RegClass::Fp => (fixed, swept_banks),
-    };
-    Box::new(EarlyReleaseRenamer::new(RenamerConfig {
-        int_banks,
-        fp_banks,
-        ..RenamerConfig::baseline(rf)
-    }))
+    RenamerKind::EarlyRelease.build(renamer_config_for(Scheme::Baseline, rf, swept))
+}
+
+#[test]
+fn every_kernel_matches_early_release_golden() {
+    let kernels = all_kernels();
+    assert_eq!(
+        kernels.len(),
+        EARLY_GOLDEN.len(),
+        "golden table out of date"
+    );
+    let mut mismatches = Vec::new();
+    for (k, want) in kernels.into_iter().zip(EARLY_GOLDEN) {
+        let mut spec = RunSpec::scheme(k, Scheme::Baseline, 48, SCALE);
+        spec.renamer = RenamerKind::EarlyRelease;
+        let r = spec.run().unwrap_or_else(|e| panic!("{}: {e}", k.name));
+        let got = (
+            k.name,
+            r.cycles,
+            r.committed_instructions,
+            r.rename.releases,
+        );
+        if got != want {
+            mismatches.push(format!("got {got:?}, want {want:?}"));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
 
 #[test]
