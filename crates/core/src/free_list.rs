@@ -65,11 +65,6 @@ impl FreeList {
         None
     }
 
-    /// Allocates strictly from `bank`, with no fallback.
-    pub fn alloc_exact(&mut self, bank: u8) -> Option<PhysReg> {
-        self.per_bank.get_mut(bank as usize)?.pop()
-    }
-
     /// Returns a register to its bank.
     ///
     /// # Panics
@@ -92,11 +87,6 @@ impl FreeList {
     /// Total free registers across all banks.
     pub fn free_total(&self) -> usize {
         self.per_bank.iter().map(Vec::len).sum()
-    }
-
-    /// True when no register is free (rename must stall on allocation).
-    pub fn is_exhausted(&self) -> bool {
-        self.free_total() == 0
     }
 
     /// Iterates over every free register, bank by bank. Used by the
@@ -143,9 +133,9 @@ mod tests {
     fn falls_back_to_closest_bank_preferring_more_shadows() {
         let b = banks();
         let mut fl = FreeList::new(&b);
-        // Drain bank 1.
-        fl.alloc_exact(1).unwrap();
-        fl.alloc_exact(1).unwrap();
+        // Drain bank 1: it comes first in its own visit order.
+        fl.alloc(1).unwrap();
+        fl.alloc(1).unwrap();
         // Preferring 1: ties between bank 0 and 2 go to bank 2.
         let p = fl.alloc(1).unwrap();
         assert_eq!(b.shadow_cells_of(p), 2);
@@ -157,7 +147,7 @@ mod tests {
         let mut fl = FreeList::new(&b);
         assert!(fl.alloc(0).is_some());
         assert!(fl.alloc(0).is_none());
-        assert!(fl.is_exhausted());
+        assert_eq!(fl.free_total(), 0);
     }
 
     #[test]
@@ -186,14 +176,5 @@ mod tests {
         let p = fl.alloc(0).unwrap();
         fl.free(p, &b);
         fl.free(p, &b);
-    }
-
-    #[test]
-    fn alloc_exact_respects_bank() {
-        let b = banks();
-        let mut fl = FreeList::new(&b);
-        let p = fl.alloc_exact(0).unwrap();
-        assert_eq!(b.shadow_cells_of(p), 0);
-        assert!(fl.alloc_exact(7).is_none()); // no such bank
     }
 }

@@ -417,14 +417,22 @@ pub trait Renamer {
         self.squash_after_on(HartId::ZERO, seq)
     }
 
-    /// A counter that advances whenever renamer state changes through any
-    /// entry point other than a failed [`Renamer::rename`] — commit,
-    /// squash, read/writeback notifications, the non-speculative
-    /// boundary. Renaming is a deterministic function of renamer state
-    /// and the instruction, so while the epoch stands still a stalled
-    /// rename would only fail again, identically; the rename stage uses
-    /// this to skip such retries and charge [`Renamer::note_stall`]
-    /// instead of re-running the full rename.
+    /// A counter that advances on every event that can change the
+    /// outcome of a failed [`Renamer::rename`] attempt: a register
+    /// release, a squash, or a predictor or hint install. Renaming is a
+    /// deterministic function of renamer state and the instruction, so
+    /// while the epoch stands still a stalled rename would only fail
+    /// again, identically; the rename stage uses this to skip such
+    /// retries and charge [`Renamer::note_stall`] instead of re-running
+    /// the full rename.
+    ///
+    /// Events that cannot change that outcome leave the epoch alone: a
+    /// commit, [`Renamer::on_operands_read`], [`Renamer::on_writeback`]
+    /// or [`Renamer::advance_nonspeculative`] that releases nothing.
+    /// A successful rename does change renamer state (the maps, the PRT,
+    /// the sharing scheme's deferred predictor training) without
+    /// advancing the epoch, but it always advances the sequence number,
+    /// which the rename stage's gate is keyed on as well.
     fn state_epoch(&self) -> u64;
 
     /// Records one gated retry cycle of `hart`'s stalled rename without

@@ -1,8 +1,8 @@
 //! The proposed renaming scheme: physical register sharing (§IV).
 
-use crate::rename_common::{CheckpointStack, ReadMarks, RenameTables};
+use crate::rename_common::{CheckpointStack, RenameTables};
 use crate::renamer::{
-    HintPolicy, HintStats, RenameStats, Renamer, RenamerConfig, SquashOutcome, Uop, UopKind, UopVec,
+    HintPolicy, HintStats, RenameStats, Renamer, RenamerConfig, SquashOutcome, UopVec,
 };
 use crate::{BankConfig, MapTable, PhysReg, Prt, RegTypePredictor, SingleUsePredictor, TaggedReg};
 use regshare_isa::{ArchReg, DefSlot, HartId, Inst, RegClass, ShareHint, ShareHintTable};
@@ -10,7 +10,9 @@ use regshare_isa::{ArchReg, DefSlot, HartId, Inst, RegClass, ShareHint, ShareHin
 mod audit;
 mod types;
 
-use types::{DstAction, PregMeta, Record, SpecDecision, SpecSource, StallDelta};
+use types::{
+    Attempt, Candidates, DstAction, Learn, PregMeta, Record, SpecDecision, SpecSource, Tally,
+};
 
 pub use audit::CorruptKind;
 
@@ -22,14 +24,16 @@ pub use audit::CorruptKind;
 /// 1. Maps sources through the versioned map table; a source whose version
 ///    is no longer the register's current version reveals a **single-use
 ///    misprediction** and triggers the repair of §IV-D1 (a fresh register
-///    plus an injected [`UopKind::RepairMove`] micro-op).
+///    plus an injected [`crate::UopKind::RepairMove`] micro-op).
 /// 2. Sets the PRT read bit of every source (the first-consumer detector).
-/// 3. For the destination, searches the sources for a register that can be
-///    **reused**: read bit previously clear (first consumer), same class,
-///    a free shadow cell, and an unsaturated version counter. A source
-///    that the instruction also redefines is a guaranteed-safe reuse; any
-///    other qualifying source is a speculative reuse (the bank a register
-///    was allocated in *is* the single-use prediction).
+/// 3. For each definition (the destination, and the written-back base of
+///    a post-increment memory operation), searches the sources for a
+///    register that can be **reused**: read bit previously clear (first
+///    consumer), same class, a free shadow cell, and an unsaturated
+///    version counter. A source that the instruction also redefines is a
+///    guaranteed-safe reuse; any other qualifying source is a speculative
+///    reuse (the bank a register was allocated in *is* the single-use
+///    prediction).
 /// 4. Otherwise allocates from the bank chosen by the register type
 ///    predictor, falling back to the closest bank, or stalls when the
 ///    file is exhausted.
@@ -63,14 +67,15 @@ pub struct ReuseRenamer {
     /// Reused squash-outcome storage: cleared and refilled by every
     /// `squash_after`, so steady-state squashes never allocate.
     squash: SquashOutcome,
-    /// Bumped by every mutating entry point except a failed rename; see
+    /// Advances on every event that can change a failed rename's
+    /// outcome: a release, a squash, a predictor or hint install; see
     /// [`Renamer::state_epoch`].
     epoch: u64,
-    /// Counter deltas of each thread's most recent failed rename,
-    /// replayed by [`Renamer::note_stall_on`] for gated retries. Per
+    /// The counter tally of each thread's most recent failed rename,
+    /// added again by [`Renamer::note_stall_on`] for gated retries. Per
     /// thread because another thread's successful rename between the
-    /// stall and its retry must not swap in the wrong delta.
-    stall_delta: Vec<StallDelta>,
+    /// stall and its retry must not swap in the wrong tally.
+    stall_tally: Vec<Tally>,
 }
 
 impl ReuseRenamer {
@@ -108,7 +113,7 @@ impl ReuseRenamer {
             hint_stats: HintStats::default(),
             squash: SquashOutcome::default(),
             epoch: 0,
-            stall_delta: vec![StallDelta::default(); threads],
+            stall_tally: vec![Tally::default(); threads],
         }
     }
 
@@ -140,11 +145,20 @@ impl ReuseRenamer {
         &self.predictor
     }
 
-    fn shadow_cells(&self, class: RegClass, preg: PhysReg) -> u8 {
-        self.t.config.banks(class).shadow_cells_of(preg)
-    }
-
-    fn alloc_preg(&mut self, class: RegClass, pc: u64, hint: ShareHint) -> Option<(PhysReg, u8)> {
+    /// The one allocation path, shared by repairs and both definition
+    /// slots: picks the bank, pops a register from it (or the closest
+    /// non-empty bank), resets its PRT entry and metadata, and maps
+    /// `logical` to it at version 0. `key` addresses the type predictor;
+    /// `hint` is the compiler's hint for the defining slot. Returns the
+    /// replaced and the new mapping, or `None` when the file is exhausted.
+    fn allocate(
+        &mut self,
+        h: usize,
+        logical: ArchReg,
+        key: u64,
+        hint: ShareHint,
+        tally: &mut Tally,
+    ) -> Option<(TaggedReg, TaggedReg)> {
         // Bank choice: the hint supplies the expected reuse count where
         // the policy lets it; otherwise the type predictor does. A
         // statically-banked register neither trains the predictor nor
@@ -155,38 +169,227 @@ impl ReuseRenamer {
             HintPolicy::StaticOnly => true,
             HintPolicy::Hybrid => hint.is_exact(),
         };
-        let predicted = if static_bank {
-            match hint {
-                ShareHint::SingleUse => 1,
-                _ => 0,
-            }
-        } else {
-            self.predictor.predict(pc)
+        let predicted = match (static_bank, hint) {
+            (false, _) => self.predictor.predict(key),
+            (true, ShareHint::SingleUse) => 1,
+            (true, _) => 0,
         };
-        let preg = self.t.free[class.index()].alloc(predicted)?;
+        let class = logical.class();
         let ci = class.index();
+        let preg = self.t.free[ci].alloc(predicted)?;
         self.prt[ci].reset_on_alloc(preg);
         self.prt[ci].map_inc(preg);
-        let mut version_hints = [ShareHint::Unknown; 8];
-        version_hints[0] = hint;
-        self.meta[ci][preg.0 as usize] = PregMeta {
-            entry: self.predictor.entry_index(pc),
+        let m = &mut self.meta[ci][preg.0 as usize];
+        *m = PregMeta {
+            entry: self.predictor.entry_index(key),
             predicted,
-            reuses: 0,
-            multi_use: false,
-            blocked: false,
             has_entry: !static_bank,
             static_bank,
-            spec_entries: [None; 8],
-            spec_static: [false; 8],
-            version_hints,
+            ..PregMeta::default()
         };
-        if static_bank {
-            self.hint_stats.static_allocs += 1;
-        } else {
-            self.hint_stats.dynamic_allocs += 1;
+        m.version_hints[0] = hint;
+        tally.static_allocs += u64::from(static_bank);
+        tally.dynamic_allocs += u64::from(!static_bank);
+        let new_map = TaggedReg::new(class, preg, 0);
+        Some((self.t.maps[h].set(logical, new_map), new_map))
+    }
+
+    /// The one reuse path: maps `logical` to the next version of source
+    /// register `src`, which this rename is the first consumer of.
+    /// `redefining` marks a guaranteed-safe reuse; otherwise `spec` names
+    /// who granted the speculation.
+    fn reuse(
+        &mut self,
+        h: usize,
+        logical: ArchReg,
+        pc: u64,
+        hint: ShareHint,
+        (src, redefining, spec): (TaggedReg, bool, Option<SpecSource>),
+        tally: &mut Tally,
+    ) -> DstAction {
+        let ci = src.class.index();
+        let newv = self.prt[ci].bump(src.preg);
+        self.prt[ci].map_inc(src.preg);
+        let new_map = TaggedReg::new(src.class, src.preg, newv);
+        let old_map = self.t.maps[h].set(logical, new_map);
+        let su_entry = self.single_use.entry_index(pc) as u32;
+        let m = &mut self.meta[ci][src.preg.0 as usize];
+        m.reuses += 1;
+        m.version_hints[newv as usize] = hint;
+        match spec {
+            None => {}
+            Some(SpecSource::Dynamic) => {
+                m.spec_entries[newv as usize] = Some(su_entry);
+                tally.dynamic_speculations += 1;
+            }
+            Some(SpecSource::Static) => {
+                m.spec_static[newv as usize] = true;
+                tally.static_speculations += 1;
+            }
         }
-        Some((preg, predicted))
+        tally.reuses += 1;
+        tally.safe_reuses += u64::from(redefining);
+        tally.speculative_reuses += u64::from(!redefining);
+        DstAction::Reuse {
+            logical,
+            old_map,
+            new_map,
+            prev_version: src.version,
+        }
+    }
+
+    /// Phase A (§IV-D1): maps the sources. A source whose version is no
+    /// longer its register's current one is a single-use misprediction:
+    /// the logical register gets a fresh register, filled by an injected
+    /// repair move. `None` when no register is free for the repair.
+    fn map_sources(&mut self, h: usize, pc: u64, inst: &Inst, a: &mut Attempt) -> Option<()> {
+        for (slot, raw) in inst.raw_sources().iter().enumerate() {
+            let Some(r) = raw.filter(|r| !r.is_zero()) else {
+                continue;
+            };
+            // A register repaired for an earlier slot is already mapped
+            // to its fresh register at the fresh PRT entry's version 0.
+            let t = self.t.maps[h].get(r);
+            if self.prt[t.class.index()].entry(t.preg).counter == t.version {
+                a.srcs[slot] = Some(t);
+                continue;
+            }
+            // Stale mapping: the register was reused by another logical
+            // register, yet the value is being read again. Repair moves
+            // have no compiler-visible definition site, so no hint.
+            let (old_map, new_map) = self.allocate(h, r, pc, ShareHint::Unknown, &mut a.tally)?;
+            debug_assert_eq!(old_map, t);
+            a.repair(slot, r, old_map, new_map);
+        }
+        Some(())
+    }
+
+    /// Phase B: sets the read bit of every source register. The recorded
+    /// previous bits double as this rename's first-consumer lookup.
+    fn mark_reads(&mut self, a: &mut Attempt) {
+        for t in a.srcs.iter().flatten() {
+            if a.main.read_marks.prev_read(t.class, t.preg).is_none() {
+                let prev = self.prt[t.class.index()].mark_read(t.preg);
+                a.main.read_marks.push(t.class, t.preg, prev);
+            }
+        }
+    }
+
+    /// Phases C and D: defines `logical` for one definition slot.
+    /// `candidates` are the sources this rename is the first consumer of,
+    /// each with whether the instruction redefines it. A reusable
+    /// candidate is taken, a redefining one first; with none, `logical`
+    /// gets a fresh register. `None` when the file is exhausted.
+    fn define(
+        &mut self,
+        h: usize,
+        pc: u64,
+        slot: DefSlot,
+        logical: ArchReg,
+        candidates: &Candidates,
+        a: &mut Attempt,
+    ) -> Option<DstAction> {
+        let mut chosen: Option<(TaggedReg, bool, Option<SpecSource>)> = None;
+        for &(t, redefining) in candidates.iter().flatten() {
+            // A redefining first consumer is also the provably last one;
+            // any other first consumer needs a grant — a static
+            // `SingleUse` proof or the single-use predictor, per the hint
+            // policy (§IV-A2) — and is excluded entirely in the safe-only
+            // ablation.
+            let mut spec = None;
+            if !redefining {
+                match self.speculation_decision(pc, t) {
+                    SpecDecision::Grant(s) => spec = Some(s),
+                    SpecDecision::DenyStatic => {
+                        a.tally.static_denials += 1;
+                        continue;
+                    }
+                    SpecDecision::Deny => continue,
+                }
+            }
+            let cells = self.t.config.banks(t.class).shadow_cells_of(t.preg);
+            if t.version >= cells || !self.prt[t.class.index()].can_bump(t.preg) {
+                a.defer(Learn::Blocked(t));
+            } else if chosen.is_none_or(|(_, taken_safe, _)| redefining && !taken_safe) {
+                // A redefining source is preferred: it is a
+                // guaranteed-safe reuse.
+                chosen = Some((t, redefining, spec));
+            }
+        }
+        let hint = self.hint_at(pc, slot);
+        if let Some(pick) = chosen {
+            return Some(self.reuse(h, logical, pc, hint, pick, &mut a.tally));
+        }
+        // The salted pc separates the writeback slot in the predictor
+        // tables; the hint table addresses slots directly, so the lookup
+        // above uses the real pc.
+        let key = match slot {
+            DefSlot::Primary => pc,
+            DefSlot::Writeback => pc ^ 0x8000_0000,
+        };
+        let (old_map, new_map) = self.allocate(h, logical, key, hint, &mut a.tally)?;
+        a.tally.allocations += 1;
+        Some(DstAction::Alloc {
+            logical,
+            old_map,
+            new_map,
+        })
+    }
+
+    /// Phases A–D of one rename, staged into `a`; `None` when a register
+    /// the rename needs is not free and it must stall.
+    fn stage(&mut self, h: usize, pc: u64, inst: &Inst, a: &mut Attempt) -> Option<()> {
+        self.map_sources(h, pc, inst, a)?;
+        self.mark_reads(a);
+        if let Some(dl) = inst.dst() {
+            let candidates = a.dst_candidates(inst, dl);
+            a.main.dst = self.define(h, pc, DefSlot::Primary, dl, &candidates, a)?;
+        }
+        if let Some(d2) = inst.dst2() {
+            // The written-back base of a post-increment memory operation:
+            // the instruction is by construction its *redefining*
+            // consumer, so it is a guaranteed-safe reuse whenever its
+            // value had no earlier consumer.
+            let base = a
+                .src_tag(inst, d2)
+                .expect("post-increment base is always a source");
+            let candidates = [a.first_use(base).then_some((base, true)), None, None];
+            a.main.dst2 = self.define(h, pc, DefSlot::Writeback, d2, &candidates, a)?;
+        }
+        Some(())
+    }
+
+    /// Applies one deferred training event of a successful rename.
+    fn learn(&mut self, event: Learn) {
+        match event {
+            Learn::MultiUse(stale) => {
+                let victim = &mut self.meta[stale.class.index()][stale.preg.0 as usize];
+                victim.multi_use = true;
+                if victim.has_entry {
+                    self.predictor.on_multi_use(victim.entry);
+                }
+                // The overwriting version reveals who granted the bad
+                // speculation: a static proof (the repair is charged to
+                // the compiler, nothing to train) or the dynamic
+                // predictor (corrected).
+                let vi = stale.version as usize + 1;
+                if victim.spec_static.get(vi).copied().unwrap_or(false) {
+                    self.hint_stats.static_repaired += 1;
+                } else if let Some(Some(e)) = victim.spec_entries.get(vi) {
+                    self.single_use.on_wrong(*e as usize);
+                    self.hint_stats.dynamic_repaired += 1;
+                }
+                self.t.stats.repairs += 1;
+            }
+            Learn::Blocked(t) => {
+                let m = &mut self.meta[t.class.index()][t.preg.0 as usize];
+                m.blocked = true;
+                if m.has_entry {
+                    self.predictor.on_blocked_reuse(m.entry);
+                }
+                self.t.stats.blocked_reuses += 1;
+            }
+        }
     }
 
     fn release(&mut self, class: RegClass, preg: PhysReg) {
@@ -249,7 +452,7 @@ impl ReuseRenamer {
 
     /// Whether a *non-redefining* first consumer may take a speculative
     /// reuse of `src`, and on whose authority. Pure decision logic: the
-    /// caller records any statistics once the rename is known to succeed.
+    /// caller tallies a static denial.
     fn speculation_decision(&self, pc: u64, src: TaggedReg) -> SpecDecision {
         if !self.t.config.speculative_reuse {
             return SpecDecision::Deny;
@@ -334,427 +537,49 @@ impl Renamer for ReuseRenamer {
 
     fn rename_on(&mut self, hart: HartId, seq: u64, pc: u64, inst: &Inst) -> Option<UopVec> {
         let h = hart.index();
-        let before = StallDelta::capture(&self.t.stats, &self.hint_stats);
-        let mut uops = UopVec::new();
-        // Repair records staged in Phase A (one per repaired source); the
-        // main record is built at the end. Inline — renaming must never
-        // allocate.
-        let mut staged: [Option<Record>; 3] = [None; 3];
-        let mut n_staged = 0;
-        let mut next_seq = seq;
-        let mut src_tags: [Option<TaggedReg>; 3] = [None; 3];
-        // Logical registers repaired in this rename (handles a register
-        // appearing in several operand slots). At most one entry per
-        // source slot, so a linear scan beats any map.
-        let mut repaired: [Option<(ArchReg, TaggedReg)>; 3] = [None; 3];
-        let mut n_repaired = 0;
-        let mut stall = false;
-        // Predictor learning is deferred until the rename is known to
-        // succeed: a stalled rename retries every cycle and must not pump
-        // the predictors with duplicate events.
-        #[derive(Clone, Copy)]
-        enum Learn {
-            MultiUse {
-                class: RegClass,
-                preg: PhysReg,
-                stale_version: u8,
-            },
-            Blocked {
-                class: RegClass,
-                preg: PhysReg,
-            },
-        }
-        // At most one MultiUse per source slot (3), one Blocked per
-        // Phase-C candidate (3), one Blocked from Phase D.
-        let mut learn: [Option<Learn>; 7] = [None; 7];
-        let mut n_learn = 0;
-
-        // Phase A: map sources; repair stale (mispredicted single-use)
-        // mappings with injected move micro-ops (§IV-D1).
-        for (slot, raw) in src_tags.iter_mut().zip(inst.raw_sources()) {
-            let Some(r) = raw.filter(|r| !r.is_zero()) else {
-                continue;
-            };
-            if let Some((_, t)) = repaired.iter().flatten().find(|(a, _)| *a == r) {
-                *slot = Some(*t);
-                continue;
-            }
-            let t = self.t.maps[h].get(r);
-            let ci = t.class.index();
-            if self.prt[ci].entry(t.preg).counter == t.version {
-                *slot = Some(t);
-                continue;
-            }
-            // Stale mapping: the register was reused by another logical
-            // register, yet the value is being read again. Repair moves
-            // have no compiler-visible definition site, so no hint.
-            let Some((pn, _)) = self.alloc_preg(t.class, pc, ShareHint::Unknown) else {
-                stall = true;
-                break;
-            };
-            let new_tag = TaggedReg::new(t.class, pn, 0);
-            let old = self.t.maps[h].set(r, new_tag);
-            debug_assert_eq!(old, t);
-            // The register was not single-use after all: predictor rule 2,
-            // and the consumer whose speculative reuse overwrote version
-            // `t.version` mispredicted (learning applied on success).
-            learn[n_learn] = Some(Learn::MultiUse {
-                class: t.class,
-                preg: t.preg,
-                stale_version: t.version,
-            });
-            n_learn += 1;
-            staged[n_staged] = Some(Record {
-                seq: next_seq,
-                read_marks: ReadMarks::EMPTY,
-                dst: DstAction::Alloc {
-                    logical: r,
-                    old_map: t,
-                    new_map: new_tag,
-                },
-                dst2: DstAction::None,
-            });
-            n_staged += 1;
-            uops.push(Uop {
-                seq: next_seq,
-                kind: UopKind::RepairMove,
-                srcs: [Some(t), None, None],
-                dst: Some(new_tag),
-                dst2: None,
-            });
-            next_seq += 1;
-            repaired[n_repaired] = Some((r, new_tag));
-            n_repaired += 1;
-            *slot = Some(new_tag);
-        }
-
-        // Phase B: set read bits for the main micro-op's sources.
-        // `read_marks` doubles as this rename's previous-read-bit lookup
-        // (at most one entry per source slot).
-        let mut read_marks = ReadMarks::EMPTY;
-        if !stall {
-            for t in src_tags.iter().flatten() {
-                if read_marks.prev_read(t.class, t.preg).is_some() {
-                    continue;
-                }
-                let prev = self.prt[t.class.index()].mark_read(t.preg);
-                read_marks.push(t.class, t.preg, prev);
-            }
-        }
-
-        // The rename tag of a logical source register (all operand slots
-        // carrying the same register hold the same tag after Phase A).
-        let src_tag_of = |tags: &[Option<TaggedReg>; 3], r: ArchReg| -> Option<TaggedReg> {
-            inst.raw_sources()
-                .iter()
-                .position(|s| *s == Some(r))
-                .and_then(|i| tags[i])
-        };
-
-        // Phase C: destination — reuse or allocate.
-        let mut dst_action = DstAction::None;
-        if !stall {
-            if let Some(dl) = inst.dst() {
-                let class = dl.class();
-                let mut chosen: Option<(TaggedReg, bool, Option<SpecSource>)> = None;
-                // Registers already weighed as reuse candidates: two
-                // logical sources may share a physical register, and the
-                // decision must be taken once per physical register.
-                let mut considered: [Option<PhysReg>; 3] = [None; 3];
-                let mut n_considered = 0;
-                for r in inst.uses() {
-                    let Some(t) = src_tag_of(&src_tags, r) else {
-                        continue;
-                    };
-                    if t.class != class {
-                        continue;
-                    }
-                    if inst.dst2() == Some(r) {
-                        // The written-back base register belongs to the
-                        // second destination's reuse decision.
-                        continue;
-                    }
-                    if considered.iter().flatten().any(|p| *p == t.preg) {
-                        continue;
-                    }
-                    considered[n_considered] = Some(t.preg);
-                    n_considered += 1;
-                    let first_use = !read_marks.prev_read(t.class, t.preg).unwrap_or(true);
-                    if !first_use {
-                        continue;
-                    }
-                    let redefining = r == dl;
-                    // A redefining first consumer is also the provably
-                    // last one; any other first consumer needs a grant —
-                    // a static `SingleUse` proof or the single-use
-                    // predictor, per the hint policy (§IV-A2) — and is
-                    // excluded entirely in the safe-only ablation.
-                    let mut spec_source = None;
-                    if !redefining {
-                        match self.speculation_decision(pc, t) {
-                            SpecDecision::Grant(s) => spec_source = Some(s),
-                            SpecDecision::DenyStatic => {
-                                self.hint_stats.static_denials += 1;
-                                continue;
-                            }
-                            SpecDecision::Deny => continue,
-                        }
-                    }
-                    let cells = self.shadow_cells(class, t.preg);
-                    let capacity = t.version < cells && self.prt[class.index()].can_bump(t.preg);
-                    if capacity {
-                        match chosen {
-                            // A redefining source is preferred: it is a
-                            // guaranteed-safe reuse.
-                            Some((_, true, _)) => {}
-                            Some(_) if !redefining => {}
-                            _ => chosen = Some((t, redefining, spec_source)),
-                        }
-                    } else {
-                        // A reuse we wanted but could not take: predictor
-                        // rule 3, and the "lost opportunity" class of
-                        // Fig. 12 (learning applied on success).
-                        learn[n_learn] = Some(Learn::Blocked {
-                            class,
-                            preg: t.preg,
-                        });
-                        n_learn += 1;
-                    }
-                }
-                if let Some((t, redefining, spec_source)) = chosen {
-                    let ci = class.index();
-                    let newv = self.prt[ci].bump(t.preg);
-                    self.prt[ci].map_inc(t.preg);
-                    let new_map = TaggedReg::new(class, t.preg, newv);
-                    let old_map = self.t.maps[h].set(dl, new_map);
-                    let dst_hint = self.hint_at(pc, DefSlot::Primary);
-                    let su_entry = self.single_use.entry_index(pc) as u32;
-                    let m = &mut self.meta[ci][t.preg.0 as usize];
-                    m.reuses += 1;
-                    m.version_hints[newv as usize] = dst_hint;
-                    match spec_source {
-                        None => {}
-                        Some(SpecSource::Dynamic) => {
-                            m.spec_entries[newv as usize] = Some(su_entry);
-                            self.hint_stats.dynamic_speculations += 1;
-                        }
-                        Some(SpecSource::Static) => {
-                            m.spec_static[newv as usize] = true;
-                            self.hint_stats.static_speculations += 1;
-                        }
-                    }
-                    self.t.stats.reuses += 1;
-                    if redefining {
-                        self.t.stats.safe_reuses += 1;
-                    } else {
-                        self.t.stats.speculative_reuses += 1;
-                    }
-                    dst_action = DstAction::Reuse {
-                        logical: dl,
-                        old_map,
-                        new_map,
-                        prev_version: t.version,
-                    };
-                } else {
-                    match self.alloc_preg(class, pc, self.hint_at(pc, DefSlot::Primary)) {
-                        Some((preg, _)) => {
-                            let new_map = TaggedReg::new(class, preg, 0);
-                            let old_map = self.t.maps[h].set(dl, new_map);
-                            self.t.stats.allocations += 1;
-                            dst_action = DstAction::Alloc {
-                                logical: dl,
-                                old_map,
-                                new_map,
-                            };
-                        }
-                        None => stall = true,
-                    }
-                }
-            }
-        }
-
-        // Phase D: the written-back base register of post-increment
-        // memory operations. By construction the instruction is the
-        // *redefining* consumer of the base, so this is a guaranteed-safe
-        // reuse whenever the base value had no earlier consumer and the
-        // register has shadow capacity.
-        let mut dst2_action = DstAction::None;
-        if !stall {
-            if let Some(d2) = inst.dst2() {
-                let class = d2.class();
-                let base_tag =
-                    src_tag_of(&src_tags, d2).expect("post-increment base is always a source");
-                let first_use = !read_marks
-                    .prev_read(base_tag.class, base_tag.preg)
-                    .unwrap_or(true);
-                let cells = self.shadow_cells(class, base_tag.preg);
-                let capacity =
-                    base_tag.version < cells && self.prt[class.index()].can_bump(base_tag.preg);
-                if first_use && capacity {
-                    let ci = class.index();
-                    let newv = self.prt[ci].bump(base_tag.preg);
-                    self.prt[ci].map_inc(base_tag.preg);
-                    let new_map = TaggedReg::new(class, base_tag.preg, newv);
-                    let old_map = self.t.maps[h].set(d2, new_map);
-                    let wb_hint = self.hint_at(pc, DefSlot::Writeback);
-                    let m = &mut self.meta[ci][base_tag.preg.0 as usize];
-                    m.reuses += 1;
-                    m.version_hints[newv as usize] = wb_hint;
-                    self.t.stats.reuses += 1;
-                    self.t.stats.safe_reuses += 1;
-                    dst2_action = DstAction::Reuse {
-                        logical: d2,
-                        old_map,
-                        new_map,
-                        prev_version: base_tag.version,
-                    };
-                } else {
-                    if first_use {
-                        learn[n_learn] = Some(Learn::Blocked {
-                            class,
-                            preg: base_tag.preg,
-                        });
-                        n_learn += 1;
-                    }
-                    // The salted pc separates the writeback slot in the
-                    // predictor tables; the hint table addresses slots
-                    // directly, so the lookup uses the real pc.
-                    match self.alloc_preg(
-                        class,
-                        pc ^ 0x8000_0000,
-                        self.hint_at(pc, DefSlot::Writeback),
-                    ) {
-                        Some((preg, _)) => {
-                            let new_map = TaggedReg::new(class, preg, 0);
-                            let old_map = self.t.maps[h].set(d2, new_map);
-                            self.t.stats.allocations += 1;
-                            dst2_action = DstAction::Alloc {
-                                logical: d2,
-                                old_map,
-                                new_map,
-                            };
-                        }
-                        None => stall = true,
-                    }
-                }
-            }
-        }
-
-        if stall {
-            // Roll back everything staged in this rename, youngest first.
-            // The recover candidates are discarded (nothing issued yet),
-            // so borrow the persistent buffer as scratch.
+        let mut a = Attempt::new(seq);
+        let staged = self.stage(h, pc, inst, &mut a).is_some();
+        a.tally.add_to(&mut self.t.stats, &mut self.hint_stats);
+        if !staged {
+            // Roll back everything staged, youngest first. The recover
+            // candidates are discarded (nothing issued yet), so borrow
+            // the persistent buffer as scratch.
             let mut scratch = std::mem::take(&mut self.squash.recovers);
             scratch.clear();
-            self.undo_record(
-                h,
-                Record {
-                    seq: next_seq,
-                    read_marks,
-                    dst: dst_action,
-                    dst2: dst2_action,
-                },
-                &mut scratch,
-            );
-            for record in staged.into_iter().rev().flatten() {
+            self.undo_record(h, a.main, &mut scratch);
+            for record in a.repairs.into_iter().rev().flatten() {
                 self.undo_record(h, record, &mut scratch);
             }
             scratch.clear();
             self.squash.recovers = scratch;
             self.t.stats.stalls += 1;
-            // Remember what this attempt added to the counters: until the
-            // epoch advances, every retry would add exactly the same.
-            self.stall_delta[h] =
-                StallDelta::capture(&self.t.stats, &self.hint_stats).since(&before);
+            // Until the epoch advances, every retry would add exactly
+            // this tally again.
+            self.stall_tally[h] = a.tally;
             return None;
         }
-
-        // The rename succeeded: apply the deferred learning events.
-        for event in learn.into_iter().take(n_learn).flatten() {
-            match event {
-                Learn::MultiUse {
-                    class,
-                    preg,
-                    stale_version,
-                } => {
-                    let ci = class.index();
-                    let victim = self.meta[ci][preg.0 as usize];
-                    if victim.has_entry {
-                        self.predictor.on_multi_use(victim.entry);
-                    }
-                    // The overwriting version reveals who granted the bad
-                    // speculation: a static proof (the repair is charged
-                    // to the compiler, nothing to train) or the dynamic
-                    // predictor (corrected).
-                    let vi = stale_version as usize + 1;
-                    if victim.spec_static.get(vi).copied().unwrap_or(false) {
-                        self.hint_stats.static_repaired += 1;
-                    } else if let Some(Some(e)) = victim.spec_entries.get(vi) {
-                        self.single_use.on_wrong(*e as usize);
-                        self.hint_stats.dynamic_repaired += 1;
-                    }
-                    self.meta[ci][preg.0 as usize].multi_use = true;
-                    self.t.stats.repairs += 1;
-                }
-                Learn::Blocked { class, preg } => {
-                    let ci = class.index();
-                    let m = self.meta[ci][preg.0 as usize];
-                    if m.has_entry {
-                        self.predictor.on_blocked_reuse(m.entry);
-                    }
-                    self.meta[ci][preg.0 as usize].blocked = true;
-                    self.t.stats.blocked_reuses += 1;
-                }
-            }
+        for &event in a.learn.iter().flatten() {
+            self.learn(event);
         }
-        let tag_of = |a: &DstAction| match a {
-            DstAction::None => None,
-            DstAction::Alloc { new_map, .. } | DstAction::Reuse { new_map, .. } => Some(*new_map),
-        };
-        let dst_tag = tag_of(&dst_action);
-        let dst2_tag = tag_of(&dst2_action);
-        uops.push(Uop {
-            seq: next_seq,
-            kind: UopKind::Main,
-            srcs: src_tags,
-            dst: dst_tag,
-            dst2: dst2_tag,
-        });
+        let uops = a.uops();
         self.t.stats.renamed += uops.len() as u64;
-        self.records[h].extend(staged.into_iter().flatten());
-        self.records[h].push(Record {
-            seq: next_seq,
-            read_marks,
-            dst: dst_action,
-            dst2: dst2_action,
-        });
+        self.records[h].extend(a.repairs.into_iter().flatten());
+        self.records[h].push(a.main);
         Some(uops)
     }
 
     fn commit_on(&mut self, hart: HartId, seq: u64) {
         let h = hart.index();
         let record = self.records[h].commit_front(seq);
-        for action in [record.dst, record.dst2] {
-            match action {
-                DstAction::None => {}
-                DstAction::Alloc {
-                    logical,
-                    old_map,
-                    new_map,
-                }
-                | DstAction::Reuse {
-                    logical,
-                    old_map,
-                    new_map,
-                    ..
-                } => {
-                    let ci = old_map.class.index();
-                    if self.prt[ci].map_dec(old_map.preg) == 0 {
-                        self.release(old_map.class, old_map.preg);
-                    }
-                    self.t.retire_maps[h].set(logical, new_map);
-                }
+        for (logical, old_map, new_map) in [record.dst, record.dst2]
+            .iter()
+            .filter_map(DstAction::mapping)
+        {
+            let ci = old_map.class.index();
+            if self.prt[ci].map_dec(old_map.preg) == 0 {
+                self.release(old_map.class, old_map.preg);
             }
+            self.t.retire_maps[h].set(logical, new_map);
         }
     }
 
@@ -778,16 +603,8 @@ impl Renamer for ReuseRenamer {
     }
 
     fn note_stall_on(&mut self, hart: HartId) {
-        let d = self.stall_delta[hart.index()];
-        self.t.stats.reuses += d.reuses;
-        self.t.stats.safe_reuses += d.safe_reuses;
-        self.t.stats.speculative_reuses += d.speculative_reuses;
-        self.t.stats.allocations += d.allocations;
-        self.hint_stats.static_allocs += d.static_allocs;
-        self.hint_stats.dynamic_allocs += d.dynamic_allocs;
-        self.hint_stats.static_speculations += d.static_speculations;
-        self.hint_stats.dynamic_speculations += d.dynamic_speculations;
-        self.hint_stats.static_denials += d.static_denials;
+        let tally = self.stall_tally[hart.index()];
+        tally.add_to(&mut self.t.stats, &mut self.hint_stats);
         self.t.stats.stalls += 1;
     }
 

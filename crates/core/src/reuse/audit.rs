@@ -98,14 +98,13 @@ impl ReuseRenamer {
                     claim(&mut owner, tag.preg.0 as usize, h)?;
                 }
                 for record in self.records[h].iter() {
-                    for action in [&record.dst, &record.dst2] {
-                        if let DstAction::Alloc { old_map, .. } | DstAction::Reuse { old_map, .. } =
-                            action
-                        {
-                            if old_map.class == class {
-                                expected[old_map.preg.0 as usize] += 1;
-                                claim(&mut owner, old_map.preg.0 as usize, h)?;
-                            }
+                    for (_, old_map, _) in [record.dst, record.dst2]
+                        .iter()
+                        .filter_map(DstAction::mapping)
+                    {
+                        if old_map.class == class {
+                            expected[old_map.preg.0 as usize] += 1;
+                            claim(&mut owner, old_map.preg.0 as usize, h)?;
                         }
                     }
                 }

@@ -1,13 +1,18 @@
 //! Prints golden (kernel, scheme) -> (cycles, committed) tuples for the
 //! determinism regression test. Dev tool; output is pasted into
 //! `tests/determinism.rs` (default mode), `WIDTH_GOLDEN` in
-//! `tests/smt.rs` (`width` mode: the superscalar-width sweep goldens) or
+//! `tests/smt.rs` (`width` mode: the superscalar-width sweep goldens),
 //! `EARLY_GOLDEN` in `tests/early_release.rs` (`early` mode: kernel,
 //! cycles, committed and registers released by the early-release
-//! comparator at rf 48).
+//! comparator at rf 48) or `COUNTERS_GOLDEN` in `tests/determinism.rs`
+//! (`counters` mode: kernel, hint policy, cycles and the FNV-1a digest
+//! of every rename, hint and predictor counter of the sharing renamer
+//! at rf 48).
 
+use regshare::core::HintPolicy;
 use regshare::harness::{run_kernel, RenamerKind, RunSpec, Scheme};
 use regshare::workloads::all_kernels;
+use regshare_serve::fnv1a64;
 
 fn main() {
     let width_mode = std::env::args().any(|a| a == "width");
@@ -46,6 +51,31 @@ fn main() {
                 "    (\"{}\", {}, {}, {}),",
                 kernel.name, r.cycles, r.committed_instructions, r.rename.releases
             );
+        }
+        return;
+    }
+    if std::env::args().any(|a| a == "counters") {
+        // A starved file, where stalled renames retry and the stall
+        // gate replays nonzero counter deltas.
+        for kernel in all_kernels() {
+            for policy in [
+                HintPolicy::DynamicOnly,
+                HintPolicy::StaticOnly,
+                HintPolicy::Hybrid,
+            ] {
+                let mut spec = RunSpec::scheme(kernel, Scheme::Proposed, 48, scale);
+                spec.config.hint_policy = policy;
+                let r = spec.run().expect("counters golden run");
+                // The text `tests/determinism.rs` digests.
+                let counters = format!("{:?} {:?} {:?}", r.rename, r.hints, r.predictor);
+                println!(
+                    "    (\"{}\", HintPolicy::{:?}, {}, {:#018x}),",
+                    kernel.name,
+                    policy,
+                    r.cycles,
+                    fnv1a64(counters.as_bytes())
+                );
+            }
         }
         return;
     }

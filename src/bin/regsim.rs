@@ -8,6 +8,10 @@
 //! regsim --file program.s --verify
 //! regsim --list
 //! ```
+//!
+//! A reader that closes early (`regsim … | head`) ends the run quietly
+//! with status 141, the status a shell reports for a writer killed by
+//! `SIGPIPE`; any other failed write to stdout is an `error: …`.
 
 use regshare::core::{BankConfig, Renamer};
 use regshare::experiments::{die, flag_value};
@@ -19,6 +23,7 @@ use regshare::isa::RegClass;
 use regshare::sim::{Pipeline, SimConfig};
 use regshare::workloads::all_kernels;
 use regshare::workloads::synthetic::{generate, SyntheticConfig};
+use std::io::{self, Write};
 use std::num::NonZeroU64;
 
 struct Options {
@@ -36,8 +41,18 @@ struct Options {
     list: bool,
 }
 
+/// Ends the process if a write to stdout failed.
+fn check(written: io::Result<()>) {
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(141),
+        Err(e) => die(&format!("cannot write to stdout: {e}")),
+    }
+}
+
 fn usage() -> ! {
-    println!(
+    check(writeln!(
+        io::stdout().lock(),
         "usage: regsim [--kernel NAME | --file PROG.s | --synthetic] [options]\n\
          \n\
          workload:\n\
@@ -57,7 +72,7 @@ fn usage() -> ! {
            --list             list the built-in kernels and exit",
         all_kernels().len(),
         BankConfig::PAPER_SIZES,
-    );
+    ));
     std::process::exit(0);
 }
 
@@ -125,10 +140,11 @@ fn build_renamer(o: &Options, scheme: Scheme, swept: RegClass) -> Box<dyn Rename
 
 fn main() {
     let o = parse();
+    let mut out = io::stdout().lock();
     if o.list {
-        println!("{:10}  suite", "kernel");
+        check(writeln!(out, "{:10}  suite", "kernel"));
         for k in all_kernels() {
-            println!("{:10}  {}", k.name, k.suite);
+            check(writeln!(out, "{:10}  {}", k.name, k.suite));
         }
         return;
     }
@@ -185,9 +201,11 @@ fn main() {
         let mut sim = Pipeline::new(program.clone(), renamer, config.clone());
         match sim.run() {
             Ok(report) => {
-                println!("=== {label} / {} / {} regs ===", scheme.label(), o.regs);
-                println!("{report}");
-                println!();
+                let (scheme, regs) = (scheme.label(), o.regs);
+                check(writeln!(
+                    out,
+                    "=== {label} / {scheme} / {regs} regs ===\n{report}\n"
+                ));
                 ipcs.push(report.ipc());
             }
             Err(e) => {
@@ -197,6 +215,7 @@ fn main() {
         }
     }
     if ipcs.len() == 2 && ipcs[0] > 0.0 {
-        println!("speedup (proposed / baseline): {:.4}", ipcs[1] / ipcs[0]);
+        let speedup = ipcs[1] / ipcs[0];
+        check(writeln!(out, "speedup (proposed / baseline): {speedup:.4}"));
     }
 }

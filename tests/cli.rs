@@ -1,5 +1,6 @@
 //! The command-line front ends reject bad input with `error: …` and
-//! exit status 2 before simulating anything, and still run valid input.
+//! exit status 2 before simulating anything, and still run valid input;
+//! `regsim` stops quietly when its reader goes away.
 
 use regshare::core::BankConfig;
 use regshare::experiments::registry;
@@ -160,5 +161,31 @@ fn regsim_still_runs_valid_sizes() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "{flags}: {stderr}");
         assert!(String::from_utf8_lossy(&out.stdout).contains("host: wall="));
+    }
+}
+
+#[test]
+fn regsim_exits_quietly_when_its_reader_closes() {
+    for args in [
+        &[
+            "--kernel", "saxpy", "--scheme", "baseline", "--scale", "2000",
+        ][..],
+        &["--list"],
+    ] {
+        // The read end is gone before the spawn, so the first write
+        // fails whatever the timing.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(REGSIM)
+            .args(args)
+            .stdout(writer)
+            .output()
+            .unwrap_or_else(|e| panic!("spawn {REGSIM}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.code() != Some(101) && stderr.is_empty(),
+            "{args:?}: expected a quiet exit, got {:?}: {stderr}",
+            out.status.code()
+        );
     }
 }
