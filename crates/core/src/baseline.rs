@@ -1,19 +1,10 @@
 //! The conventional renaming scheme: merged register file with
 //! release-on-commit (the paper's baseline, §II).
 
-use crate::rename_common::{CheckpointStack, RenameTables, SeqRecord};
+use crate::rename_common::{CheckpointStack, DstChange, RenameTables, SeqRecord};
 use crate::renamer::{RenameStats, Renamer, RenamerConfig, SquashOutcome, Uop, UopKind, UopVec};
 use crate::{BankConfig, MapTable, PhysReg, TaggedReg};
 use regshare_isa::{ArchReg, HartId, Inst, RegClass};
-
-/// One destination's rename: the mapping it replaced and the one it
-/// installed.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DstChange {
-    pub(crate) logical: ArchReg,
-    pub(crate) old_map: TaggedReg,
-    pub(crate) new_map: TaggedReg,
-}
 
 /// The in-flight record of one renamed micro-op.
 #[derive(Debug, Clone)]
@@ -111,7 +102,7 @@ impl BaselineRenamer {
     /// a stalled rename waits for, so the epoch advances.
     pub(crate) fn release(&mut self, class: RegClass, preg: PhysReg) {
         self.epoch += 1;
-        self.t.free[class.index()].free(preg, self.t.config.banks(class));
+        self.t.free[class.index()].free(preg);
         self.t.stats.releases += 1;
         self.t.stats.chain_lengths.record(0);
     }
@@ -167,7 +158,7 @@ impl Renamer for BaselineRenamer {
                     if let Some(d) = dst_change {
                         self.t.maps[h].set(d.logical, d.old_map);
                         let class = d.new_map.class;
-                        self.t.free[class.index()].free(d.new_map.preg, self.t.config.banks(class));
+                        self.t.free[class.index()].free(d.new_map.preg);
                         self.t.stats.allocations -= 1;
                     }
                     self.t.stats.stalls += 1;
@@ -211,7 +202,7 @@ impl Renamer for BaselineRenamer {
             for d in [record.dst2, record.dst].into_iter().flatten() {
                 self.t.maps[h].set(d.logical, d.old_map);
                 let class = d.new_map.class;
-                self.t.free[class.index()].free(d.new_map.preg, self.t.config.banks(class));
+                self.t.free[class.index()].free(d.new_map.preg);
             }
             self.squash.undone += 1;
             self.t.stats.squashed += 1;

@@ -1,6 +1,6 @@
 //! Per-bank free lists with closest-bank allocation (§IV-D).
 
-use crate::{BankConfig, PhysReg};
+use crate::{BankConfig, PhysReg, MAX_SHADOW_CELLS};
 
 /// Free physical registers, kept per bank so allocation can honor the
 /// register type predictor's bank choice.
@@ -20,46 +20,82 @@ use crate::{BankConfig, PhysReg};
 /// let mut fl = FreeList::new(&banks);
 /// assert_eq!(fl.free_total(), 3);
 /// let p = fl.alloc(1).unwrap();
-/// assert_eq!(banks.shadow_cells_of(p), 1);
-/// fl.free(p, &banks);
+/// assert_eq!(fl.shadow_cells_of(p), 1);
+/// fl.free(p);
 /// assert_eq!(fl.free_total(), 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FreeList {
-    per_bank: Vec<Vec<PhysReg>>,
-    /// `orders[p]` is the bank visit order when bank `p` is preferred
-    /// (by distance, larger bank first on ties). Precomputed once so the
-    /// per-allocation fast path is a plain table walk instead of a sort.
-    orders: Vec<Vec<u8>>,
+    /// Bank `k`'s free registers are `stacks[base[k]..base[k] + len[k]]`,
+    /// the next to allocate last. A bank never holds more free registers
+    /// than it has, so each stack lives in a fixed slice of one array and
+    /// a free or an allocation only moves a length.
+    stacks: Vec<PhysReg>,
+    base: [usize; NUM_BANKS],
+    len: [usize; NUM_BANKS],
+    /// Registers in bank `k`: the most its stack can hold.
+    size: [usize; NUM_BANKS],
+    /// Banks of the layout.
+    banks: usize,
+    /// `orders[p][..banks]` is the bank visit order when bank `p` is
+    /// preferred (by distance, larger bank first on ties). Precomputed
+    /// once so the per-allocation fast path is a plain table walk
+    /// instead of a sort.
+    orders: [[u8; NUM_BANKS]; NUM_BANKS],
+    /// `bank_of[p]` is register `p`'s bank, which is its shadow-cell
+    /// count: a table lookup where [`BankConfig::shadow_cells_of`]
+    /// walks the layout.
+    bank_of: Vec<u8>,
 }
+
+/// The most banks a layout can have: one per shadow-cell count.
+const NUM_BANKS: usize = MAX_SHADOW_CELLS as usize + 1;
 
 impl FreeList {
     /// Creates a free list containing every register of the layout.
     pub fn new(banks: &BankConfig) -> Self {
         let n = banks.num_banks();
-        let mut per_bank = Vec::with_capacity(n);
+        let mut base = [0; NUM_BANKS];
+        let mut size = [0; NUM_BANKS];
+        let mut orders = [[0; NUM_BANKS]; NUM_BANKS];
         for k in 0..n {
-            let regs: Vec<PhysReg> = banks.bank_range(k).rev().map(PhysReg).collect();
-            per_bank.push(regs);
+            let range = banks.bank_range(k);
+            base[k] = range.start as usize;
+            size[k] = range.len();
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&b| (b.abs_diff(k), std::cmp::Reverse(b)));
+            for (slot, b) in orders[k].iter_mut().zip(order) {
+                *slot = b as u8;
+            }
         }
-        let orders = (0..n as i32)
-            .map(|pref| {
-                let mut order: Vec<i32> = (0..n as i32).collect();
-                order.sort_by_key(|&k| ((k - pref).abs(), std::cmp::Reverse(k)));
-                order.into_iter().map(|k| k as u8).collect()
-            })
+        // Each bank's stack hands out its lowest register first.
+        let stacks = (0..n)
+            .flat_map(|k| banks.bank_range(k).rev().map(PhysReg))
             .collect();
-        FreeList { per_bank, orders }
+        let bank_of = (0..n)
+            .flat_map(|k| std::iter::repeat_n(k as u8, size[k]))
+            .collect();
+        FreeList {
+            stacks,
+            base,
+            len: size,
+            size,
+            banks: n,
+            orders,
+            bank_of,
+        }
     }
 
     /// Allocates from `preferred_bank`, falling back to the closest
     /// non-empty bank (larger first on ties). Returns `None` when every
     /// bank is empty — the rename stall condition.
     pub fn alloc(&mut self, preferred_bank: u8) -> Option<PhysReg> {
-        let pref = (preferred_bank as usize).min(self.per_bank.len() - 1);
-        for &k in &self.orders[pref] {
-            if let Some(p) = self.per_bank[k as usize].pop() {
-                return Some(p);
+        let pref = (preferred_bank as usize).min(self.banks - 1);
+        for &k in &self.orders[pref][..self.banks] {
+            let k = k as usize;
+            if self.len[k] > 0 {
+                self.len[k] -= 1;
+                return Some(self.stacks[self.base[k] + self.len[k]]);
             }
         }
         None
@@ -69,37 +105,57 @@ impl FreeList {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if the register is already free.
-    pub fn free(&mut self, preg: PhysReg, banks: &BankConfig) {
-        let bank = banks.shadow_cells_of(preg) as usize;
-        debug_assert!(
-            !self.per_bank[bank].contains(&preg),
-            "double free of {preg}"
-        );
-        self.per_bank[bank].push(preg);
+    /// Panics if the register is already free: in debug builds always,
+    /// otherwise when that fills its bank past its size.
+    pub fn free(&mut self, preg: PhysReg) {
+        let k = self.bank_of[preg.0 as usize] as usize;
+        debug_assert!(!self.bank(k).contains(&preg), "double free of {preg}");
+        assert!(self.len[k] < self.size[k], "double free of {preg}");
+        self.stacks[self.base[k] + self.len[k]] = preg;
+        self.len[k] += 1;
+    }
+
+    /// The shadow-cell count (= bank index) of a register of the layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `preg` is out of range.
+    pub fn shadow_cells_of(&self, preg: PhysReg) -> u8 {
+        self.bank_of[preg.0 as usize]
+    }
+
+    /// Bank `k`'s free registers, the next to allocate last.
+    fn bank(&self, k: usize) -> &[PhysReg] {
+        &self.stacks[self.base[k]..self.base[k] + self.len[k]]
     }
 
     /// Free registers in bank `k`.
     pub fn free_in_bank(&self, k: usize) -> usize {
-        self.per_bank.get(k).map_or(0, Vec::len)
+        if k < self.banks {
+            self.len[k]
+        } else {
+            0
+        }
     }
 
     /// Total free registers across all banks.
     pub fn free_total(&self) -> usize {
-        self.per_bank.iter().map(Vec::len).sum()
+        self.len[..self.banks].iter().sum()
     }
 
     /// Iterates over every free register, bank by bank. Used by the
     /// invariant auditor to check the free list against the map table.
     pub fn iter(&self) -> impl Iterator<Item = PhysReg> + '_ {
-        self.per_bank.iter().flat_map(|bank| bank.iter().copied())
+        (0..self.banks).flat_map(|k| self.bank(k).iter().copied())
     }
 
     /// Removes one free register (any bank), or `None` when exhausted.
     /// Exists only so auditor self-tests can *deliberately* leak a
     /// register; normal allocation goes through [`FreeList::alloc`].
     pub(crate) fn pop_any(&mut self) -> Option<PhysReg> {
-        self.per_bank.iter_mut().find_map(Vec::pop)
+        let k = (0..self.banks).find(|&k| self.len[k] > 0)?;
+        self.len[k] -= 1;
+        Some(self.stacks[self.base[k] + self.len[k]])
     }
 }
 
@@ -130,6 +186,15 @@ mod tests {
     }
 
     #[test]
+    fn bank_table_matches_the_layout() {
+        let b = BankConfig::new(vec![2, 0, 3, 1]);
+        let fl = FreeList::new(&b);
+        for p in (0..b.total() as u16).map(PhysReg) {
+            assert_eq!(fl.shadow_cells_of(p), b.shadow_cells_of(p));
+        }
+    }
+
+    #[test]
     fn falls_back_to_closest_bank_preferring_more_shadows() {
         let b = banks();
         let mut fl = FreeList::new(&b);
@@ -156,7 +221,7 @@ mod tests {
         let mut fl = FreeList::new(&b);
         let p = fl.alloc(3).unwrap();
         assert_eq!(fl.free_in_bank(3), 1);
-        fl.free(p, &b);
+        fl.free(p);
         assert_eq!(fl.free_in_bank(3), 2);
     }
 
@@ -174,7 +239,7 @@ mod tests {
         let b = banks();
         let mut fl = FreeList::new(&b);
         let p = fl.alloc(0).unwrap();
-        fl.free(p, &b);
-        fl.free(p, &b);
+        fl.free(p);
+        fl.free(p);
     }
 }

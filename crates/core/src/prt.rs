@@ -124,12 +124,13 @@ impl Prt {
         e.read = read;
     }
 
-    /// Resets the entry for a fresh allocation: version 0, read bit clear.
-    /// The mapping count is not touched (tracked separately).
-    pub fn reset_on_alloc(&mut self, preg: PhysReg) {
+    /// Resets the entry for a fresh allocation — version 0, read bit
+    /// clear — and counts the allocating mapping.
+    pub fn alloc(&mut self, preg: PhysReg) {
         let e = &mut self.entries[preg.0 as usize];
         e.counter = 0;
         e.read = false;
+        e.mapcount += 1;
     }
 
     /// Increments the mapping reference count.
@@ -234,18 +235,18 @@ mod tests {
     }
 
     #[test]
-    fn reset_on_alloc_clears_version_state() {
+    fn alloc_clears_version_state_and_counts_the_mapping() {
         let mut prt = Prt::new(1, 3);
         let p = PhysReg(0);
         prt.mark_read(p);
         prt.bump(p);
-        prt.reset_on_alloc(p);
+        prt.alloc(p);
         assert_eq!(
             prt.entry(p),
             PrtEntry {
                 read: false,
                 counter: 0,
-                mapcount: 0
+                mapcount: 1
             }
         );
     }

@@ -17,6 +17,15 @@ use crate::{BankConfig, FreeList, MapTable, PhysReg, TaggedReg};
 use regshare_isa::{ArchReg, RegClass, MAX_HARTS};
 use std::collections::VecDeque;
 
+/// One definition's rename: the mapping it replaced and the one it
+/// installed. Commit releases through `old_map`; squash restores it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DstChange {
+    pub(crate) logical: ArchReg,
+    pub(crate) old_map: TaggedReg,
+    pub(crate) new_map: TaggedReg,
+}
+
 /// The rename-table state every scheme owns: one speculative map table
 /// and one retirement (architectural) map table **per hardware thread**,
 /// one free list per register class shared by all threads, and the
@@ -187,11 +196,6 @@ impl<R: SeqRecord> CheckpointStack<R> {
         self.records.push_back(record);
     }
 
-    /// Pushes a batch of records renamed together (oldest first).
-    pub fn extend(&mut self, records: impl IntoIterator<Item = R>) {
-        self.records.extend(records);
-    }
-
     /// Pops the oldest record at commit, asserting in-order retirement.
     ///
     /// # Panics
@@ -253,7 +257,9 @@ mod tests {
     #[test]
     fn checkpoint_stack_commits_in_order_and_squashes_youngest_first() {
         let mut s = CheckpointStack::new();
-        s.extend([Rec(0), Rec(1), Rec(2), Rec(3)]);
+        for seq in 0..4 {
+            s.push(Rec(seq));
+        }
         assert_eq!(s.commit_front(0), Rec(0));
         assert_eq!(s.pop_younger(1), Some(Rec(3)));
         assert_eq!(s.pop_younger(1), Some(Rec(2)));
@@ -279,39 +285,5 @@ mod tests {
             assert_eq!(per_bank, t.allocated_total(class));
             assert_eq!(t.allocated_total(class) + t.free_regs(class), 48);
         }
-    }
-}
-
-/// Read bits set by one micro-op, with their previous values — at most
-/// one per source slot, stored inline so rename records never touch the
-/// heap.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ReadMarks {
-    buf: [(RegClass, PhysReg, bool); 3],
-    len: u8,
-}
-
-impl ReadMarks {
-    pub(crate) const EMPTY: ReadMarks = ReadMarks {
-        buf: [(RegClass::Int, PhysReg(0), false); 3],
-        len: 0,
-    };
-
-    pub(crate) fn push(&mut self, class: RegClass, preg: PhysReg, prev: bool) {
-        self.buf[self.len as usize] = (class, preg, prev);
-        self.len += 1;
-    }
-
-    /// The previous read-bit value recorded for `preg`, if this rename
-    /// marked it.
-    pub(crate) fn prev_read(&self, class: RegClass, preg: PhysReg) -> Option<bool> {
-        self.buf[..self.len as usize]
-            .iter()
-            .find(|&&(c, p, _)| c == class && p == preg)
-            .map(|&(_, _, prev)| prev)
-    }
-
-    pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = &(RegClass, PhysReg, bool)> {
-        self.buf[..self.len as usize].iter()
     }
 }

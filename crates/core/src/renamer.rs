@@ -248,6 +248,14 @@ impl UopVec {
         }
     }
 
+    /// A bundle of the one micro-op `uop`.
+    pub const fn one(uop: Uop) -> Self {
+        UopVec {
+            buf: [uop, Self::FILLER, Self::FILLER, Self::FILLER],
+            len: 1,
+        }
+    }
+
     /// Appends a micro-op.
     ///
     /// # Panics

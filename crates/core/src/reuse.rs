@@ -1,6 +1,6 @@
 //! The proposed renaming scheme: physical register sharing (§IV).
 
-use crate::rename_common::{CheckpointStack, RenameTables};
+use crate::rename_common::{CheckpointStack, DstChange, RenameTables};
 use crate::renamer::{
     HintPolicy, HintStats, RenameStats, Renamer, RenamerConfig, SquashOutcome, UopVec,
 };
@@ -11,7 +11,8 @@ mod audit;
 mod types;
 
 use types::{
-    Attempt, Candidates, DstAction, Learn, PregMeta, Record, SpecDecision, SpecSource, Tally,
+    Attempt, Candidates, Count, FirstReads, Learn, PregMeta, Record, SpecDecision, SpecSource,
+    Tally,
 };
 
 pub use audit::CorruptKind;
@@ -151,6 +152,7 @@ impl ReuseRenamer {
     /// `logical` to it at version 0. `key` addresses the type predictor;
     /// `hint` is the compiler's hint for the defining slot. Returns the
     /// replaced and the new mapping, or `None` when the file is exhausted.
+    #[inline(always)]
     fn allocate(
         &mut self,
         h: usize,
@@ -177,27 +179,31 @@ impl ReuseRenamer {
         let class = logical.class();
         let ci = class.index();
         let preg = self.t.free[ci].alloc(predicted)?;
-        self.prt[ci].reset_on_alloc(preg);
-        self.prt[ci].map_inc(preg);
-        let m = &mut self.meta[ci][preg.0 as usize];
-        *m = PregMeta {
-            entry: self.predictor.entry_index(key),
-            predicted,
-            has_entry: !static_bank,
-            static_bank,
-            ..PregMeta::default()
+        self.prt[ci].alloc(preg);
+        let entry = self.predictor.entry_index(key) as u32;
+        self.meta[ci][preg.0 as usize].allocated(entry, predicted, static_bank, hint);
+        let source = if static_bank {
+            Count::StaticAllocs
+        } else {
+            Count::DynamicAllocs
         };
-        m.version_hints[0] = hint;
-        tally.static_allocs += u64::from(static_bank);
-        tally.dynamic_allocs += u64::from(!static_bank);
+        self.count(tally, source, 1);
         let new_map = TaggedReg::new(class, preg, 0);
         Some((self.t.maps[h].set(logical, new_map), new_map))
+    }
+
+    /// Counts `n` of `count` in the statistics, and in the attempt's
+    /// `tally` for the gated retries should it stall.
+    fn count(&mut self, tally: &mut Tally, count: Count, n: u64) {
+        tally.add(count, n);
+        *count.counter(&mut self.t.stats, &mut self.hint_stats) += n;
     }
 
     /// The one reuse path: maps `logical` to the next version of source
     /// register `src`, which this rename is the first consumer of.
     /// `redefining` marks a guaranteed-safe reuse; otherwise `spec` names
     /// who granted the speculation.
+    #[inline(always)]
     fn reuse(
         &mut self,
         h: usize,
@@ -206,35 +212,34 @@ impl ReuseRenamer {
         hint: ShareHint,
         (src, redefining, spec): (TaggedReg, bool, Option<SpecSource>),
         tally: &mut Tally,
-    ) -> DstAction {
+    ) -> DstChange {
         let ci = src.class.index();
         let newv = self.prt[ci].bump(src.preg);
         self.prt[ci].map_inc(src.preg);
         let new_map = TaggedReg::new(src.class, src.preg, newv);
         let old_map = self.t.maps[h].set(logical, new_map);
-        let su_entry = self.single_use.entry_index(pc) as u32;
-        let m = &mut self.meta[ci][src.preg.0 as usize];
-        m.reuses += 1;
-        m.version_hints[newv as usize] = hint;
-        match spec {
-            None => {}
-            Some(SpecSource::Dynamic) => {
-                m.spec_entries[newv as usize] = Some(su_entry);
-                tally.dynamic_speculations += 1;
+        let grant = spec.map(|s| match s {
+            SpecSource::Dynamic => {
+                self.count(tally, Count::DynamicSpeculations, 1);
+                (s, self.single_use.entry_index(pc) as u32)
             }
-            Some(SpecSource::Static) => {
-                m.spec_static[newv as usize] = true;
-                tally.static_speculations += 1;
+            SpecSource::Static => {
+                self.count(tally, Count::StaticSpeculations, 1);
+                (s, 0)
             }
-        }
-        tally.reuses += 1;
-        tally.safe_reuses += u64::from(redefining);
-        tally.speculative_reuses += u64::from(!redefining);
-        DstAction::Reuse {
+        });
+        self.meta[ci][src.preg.0 as usize].reused(newv, hint, grant);
+        self.count(tally, Count::Reuses, 1);
+        let kind = if redefining {
+            Count::SafeReuses
+        } else {
+            Count::SpeculativeReuses
+        };
+        self.count(tally, kind, 1);
+        DstChange {
             logical,
             old_map,
             new_map,
-            prev_version: src.version,
         }
     }
 
@@ -264,14 +269,28 @@ impl ReuseRenamer {
         Some(())
     }
 
-    /// Phase B: sets the read bit of every source register. The recorded
-    /// previous bits double as this rename's first-consumer lookup.
+    /// Phase B: sets the read bit of every source register, noting per
+    /// operand slot whether it was clear: whether this rename is the
+    /// source's first consumer.
     fn mark_reads(&mut self, a: &mut Attempt) {
-        for t in a.srcs.iter().flatten() {
-            if a.main.read_marks.prev_read(t.class, t.preg).is_none() {
-                let prev = self.prt[t.class.index()].mark_read(t.preg);
-                a.main.read_marks.push(t.class, t.preg, prev);
-            }
+        for slot in 0..3 {
+            let Some(t) = a.srcs[slot] else {
+                continue;
+            };
+            // A register an earlier slot marked keeps that slot's verdict.
+            let same =
+                |s: &usize| a.srcs[*s].is_some_and(|e| e.class == t.class && e.preg == t.preg);
+            let first = match (0..slot).find(same) {
+                Some(earlier) => a.first_use(earlier),
+                None => {
+                    let first = !self.prt[t.class.index()].mark_read(t.preg);
+                    if first {
+                        a.first_reads.push(t.class, t.preg);
+                    }
+                    first
+                }
+            };
+            a.set_first_use(slot, first);
         }
     }
 
@@ -280,6 +299,7 @@ impl ReuseRenamer {
     /// each with whether the instruction redefines it. A reusable
     /// candidate is taken, a redefining one first; with none, `logical`
     /// gets a fresh register. `None` when the file is exhausted.
+    #[inline(always)]
     fn define(
         &mut self,
         h: usize,
@@ -288,7 +308,7 @@ impl ReuseRenamer {
         logical: ArchReg,
         candidates: &Candidates,
         a: &mut Attempt,
-    ) -> Option<DstAction> {
+    ) -> Option<DstChange> {
         let mut chosen: Option<(TaggedReg, bool, Option<SpecSource>)> = None;
         for &(t, redefining) in candidates.iter().flatten() {
             // A redefining first consumer is also the provably last one;
@@ -301,15 +321,16 @@ impl ReuseRenamer {
                 match self.speculation_decision(pc, t) {
                     SpecDecision::Grant(s) => spec = Some(s),
                     SpecDecision::DenyStatic => {
-                        a.tally.static_denials += 1;
+                        self.count(&mut a.tally, Count::StaticDenials, 1);
                         continue;
                     }
                     SpecDecision::Deny => continue,
                 }
             }
-            let cells = self.t.config.banks(t.class).shadow_cells_of(t.preg);
-            if t.version >= cells || !self.prt[t.class.index()].can_bump(t.preg) {
-                a.defer(Learn::Blocked(t));
+            let ci = t.class.index();
+            let cells = self.t.free[ci].shadow_cells_of(t.preg);
+            if t.version >= cells || !self.prt[ci].can_bump(t.preg) {
+                a.defer_blocked(t);
             } else if chosen.is_none_or(|(_, taken_safe, _)| redefining && !taken_safe) {
                 // A redefining source is preferred: it is a
                 // guaranteed-safe reuse.
@@ -328,35 +349,55 @@ impl ReuseRenamer {
             DefSlot::Writeback => pc ^ 0x8000_0000,
         };
         let (old_map, new_map) = self.allocate(h, logical, key, hint, &mut a.tally)?;
-        a.tally.allocations += 1;
-        Some(DstAction::Alloc {
+        self.count(&mut a.tally, Count::Allocations, 1);
+        Some(DstChange {
             logical,
             old_map,
             new_map,
         })
     }
 
-    /// Phases A–D of one rename, staged into `a`; `None` when a register
-    /// the rename needs is not free and it must stall.
-    fn stage(&mut self, h: usize, pc: u64, inst: &Inst, a: &mut Attempt) -> Option<()> {
+    /// Phases A–D of one rename, staged into `a`: the definitions of the
+    /// destination and of the written-back base, or `None` when a
+    /// register the rename needs is not free and it must stall. A stall
+    /// at the written-back base undoes the destination's definition; the
+    /// rest of the attempt is [`Self::roll_back`]'s.
+    fn stage(
+        &mut self,
+        h: usize,
+        pc: u64,
+        inst: &Inst,
+        a: &mut Attempt,
+    ) -> Option<(Option<DstChange>, Option<DstChange>)> {
         self.map_sources(h, pc, inst, a)?;
         self.mark_reads(a);
-        if let Some(dl) = inst.dst() {
-            let candidates = a.dst_candidates(inst, dl);
-            a.main.dst = self.define(h, pc, DefSlot::Primary, dl, &candidates, a)?;
+        let dst = match inst.dst() {
+            Some(dl) => {
+                let candidates = a.dst_candidates(inst, dl);
+                Some(self.define(h, pc, DefSlot::Primary, dl, &candidates, a)?)
+            }
+            None => None,
+        };
+        let Some(d2) = inst.dst2() else {
+            return Some((dst, None));
+        };
+        // The written-back base of a post-increment memory operation: the
+        // instruction is by construction its *redefining* consumer, so it
+        // is a guaranteed-safe reuse whenever its value had no earlier
+        // consumer.
+        let slot = inst.raw_sources().iter().position(|s| *s == Some(d2));
+        let slot = slot.expect("post-increment base is always a source");
+        let base = a.srcs[slot].expect("a nonzero source is mapped");
+        let candidates = [a.first_use(slot).then_some((base, true)), None, None];
+        match self.define(h, pc, DefSlot::Writeback, d2, &candidates, a) {
+            Some(dst2) => Some((dst, Some(dst2))),
+            None => {
+                if let Some(change) = dst {
+                    self.undo_change(h, change);
+                }
+                None
+            }
         }
-        if let Some(d2) = inst.dst2() {
-            // The written-back base of a post-increment memory operation:
-            // the instruction is by construction its *redefining*
-            // consumer, so it is a guaranteed-safe reuse whenever its
-            // value had no earlier consumer.
-            let base = a
-                .src_tag(inst, d2)
-                .expect("post-increment base is always a source");
-            let candidates = [a.first_use(base).then_some((base, true)), None, None];
-            a.main.dst2 = self.define(h, pc, DefSlot::Writeback, d2, &candidates, a)?;
-        }
-        Some(())
     }
 
     /// Applies one deferred training event of a successful rename.
@@ -366,17 +407,19 @@ impl ReuseRenamer {
                 let victim = &mut self.meta[stale.class.index()][stale.preg.0 as usize];
                 victim.multi_use = true;
                 if victim.has_entry {
-                    self.predictor.on_multi_use(victim.entry);
+                    self.predictor.on_multi_use(victim.entry as usize);
                 }
                 // The overwriting version reveals who granted the bad
                 // speculation: a static proof (the repair is charged to
                 // the compiler, nothing to train) or the dynamic
-                // predictor (corrected).
-                let vi = stale.version as usize + 1;
-                if victim.spec_static.get(vi).copied().unwrap_or(false) {
+                // predictor (corrected). A stale version is below its
+                // register's counter, so the overwriting one exists.
+                let v = stale.version + 1;
+                if victim.spec_static & (1 << v) != 0 {
                     self.hint_stats.static_repaired += 1;
-                } else if let Some(Some(e)) = victim.spec_entries.get(vi) {
-                    self.single_use.on_wrong(*e as usize);
+                } else if victim.spec_dynamic & (1 << v) != 0 {
+                    self.single_use
+                        .on_wrong(victim.spec_entries[v as usize] as usize);
                     self.hint_stats.dynamic_repaired += 1;
                 }
                 self.t.stats.repairs += 1;
@@ -385,7 +428,7 @@ impl ReuseRenamer {
                 let m = &mut self.meta[t.class.index()][t.preg.0 as usize];
                 m.blocked = true;
                 if m.has_entry {
-                    self.predictor.on_blocked_reuse(m.entry);
+                    self.predictor.on_blocked_reuse(m.entry as usize);
                 }
                 self.t.stats.blocked_reuses += 1;
             }
@@ -399,13 +442,13 @@ impl ReuseRenamer {
         // counts, the record queue) is invisible to a rename attempt.
         self.epoch += 1;
         let ci = class.index();
-        self.t.free[ci].free(preg, self.t.config.banks(class));
-        let meta = self.meta[ci][preg.0 as usize];
+        self.t.free[ci].free(preg);
+        let meta = &self.meta[ci][preg.0 as usize];
         self.t.stats.releases += 1;
         self.t.stats.chain_lengths.record(meta.reuses as u64);
         if meta.has_entry {
             self.predictor.on_release(
-                meta.entry,
+                meta.entry as usize,
                 meta.predicted,
                 meta.reuses,
                 meta.multi_use,
@@ -429,24 +472,53 @@ impl ReuseRenamer {
         // reinforce dynamically-predicted consumers, and credit each
         // grant to its source.
         if !meta.multi_use {
-            for (v, entry) in meta.spec_entries.iter().enumerate() {
-                if let Some(e) = entry {
-                    self.single_use.on_correct(*e as usize);
-                    self.hint_stats.dynamic_correct += 1;
-                } else if meta.spec_static[v] {
-                    self.hint_stats.static_correct += 1;
-                }
+            let mut dynamic = meta.spec_dynamic;
+            while dynamic != 0 {
+                let v = dynamic.trailing_zeros() as usize;
+                self.single_use.on_correct(meta.spec_entries[v] as usize);
+                dynamic &= dynamic - 1;
             }
+            self.hint_stats.dynamic_correct += u64::from(meta.spec_dynamic.count_ones());
+            self.hint_stats.static_correct += u64::from(meta.spec_static.count_ones());
         }
     }
 
-    /// Undoes one record's rename effects (shared by squash and the
-    /// stall rollback path). Appends recover candidates.
+    /// Rolls a stalled attempt back, youngest first (its definitions
+    /// are already undone), and keeps its tally for the gated retries.
+    fn roll_back(&mut self, h: usize, a: &Attempt) {
+        self.clear_first_reads(a.first_reads);
+        for (_, repair) in a.repairs().rev() {
+            self.undo_change(h, repair);
+        }
+        self.t.stats.stalls += 1;
+        // Until the epoch advances, every retry would add exactly this
+        // tally again.
+        self.stall_tally[h] = a.tally;
+    }
+
+    /// Undoes one record's rename effects on a squash, appending the
+    /// recover commands of its reuses.
     fn undo_record(&mut self, h: usize, record: Record, recovers: &mut Vec<TaggedReg>) {
-        self.undo_dst_action(h, record.dst2, recovers);
-        self.undo_dst_action(h, record.dst, recovers);
-        for &(class, preg, prev) in record.read_marks.iter().rev() {
-            self.prt[class.index()].set_read(preg, prev);
+        for change in [record.dst2, record.dst].into_iter().flatten() {
+            let Some(restored) = self.undo_change(h, change) else {
+                continue;
+            };
+            // One recover command per register; walking youngest to
+            // oldest, the last write leaves the oldest (final) restored
+            // version in place.
+            let same = |t: &&mut TaggedReg| t.class == restored.class && t.preg == restored.preg;
+            match recovers.iter_mut().find(same) {
+                Some(t) => t.version = restored.version,
+                None => recovers.push(restored),
+            }
+        }
+        self.clear_first_reads(record.first_reads);
+    }
+
+    /// Clears again the read bits a micro-op set, youngest first.
+    fn clear_first_reads(&mut self, first_reads: FirstReads) {
+        for (class, preg) in first_reads.iter().rev() {
+            self.prt[class.index()].set_read(preg, false);
         }
     }
 
@@ -457,8 +529,7 @@ impl ReuseRenamer {
         if !self.t.config.speculative_reuse {
             return SpecDecision::Deny;
         }
-        let hint =
-            self.meta[src.class.index()][src.preg.0 as usize].version_hints[src.version as usize];
+        let hint = self.meta[src.class.index()][src.preg.0 as usize].hint(src.version);
         let dynamic = || {
             if self.single_use.predict(pc) {
                 SpecDecision::Grant(SpecSource::Dynamic)
@@ -481,52 +552,41 @@ impl ReuseRenamer {
         }
     }
 
-    fn undo_dst_action(&mut self, h: usize, action: DstAction, recovers: &mut Vec<TaggedReg>) {
-        match action {
-            DstAction::None => {}
-            DstAction::Alloc {
-                logical,
-                old_map,
-                new_map,
-            } => {
-                self.t.maps[h].set(logical, old_map);
-                let ci = new_map.class.index();
-                let remaining = self.prt[ci].map_dec(new_map.preg);
-                debug_assert_eq!(remaining, 0, "squashed fresh allocation still referenced");
-                self.t.free[ci].free(new_map.preg, self.t.config.banks(new_map.class));
-            }
-            DstAction::Reuse {
-                logical,
-                old_map,
-                new_map,
-                prev_version,
-            } => {
-                self.t.maps[h].set(logical, old_map);
-                let ci = new_map.class.index();
-                // The read bit was true immediately before the bump (this
-                // micro-op was the first consumer and marked it); the
-                // read-mark undo below restores the pre-rename value.
-                self.prt[ci].rollback(new_map.preg, prev_version, true);
-                self.prt[ci].map_dec(new_map.preg);
-                let m = &mut self.meta[ci][new_map.preg.0 as usize];
-                m.reuses = m.reuses.saturating_sub(1);
-                m.spec_entries[new_map.version as usize] = None;
-                m.spec_static[new_map.version as usize] = false;
-                m.version_hints[new_map.version as usize] = ShareHint::Unknown;
-                // One recover command per register; walking youngest to
-                // oldest, the last write leaves the oldest (final)
-                // restored version in place.
-                match recovers
-                    .iter_mut()
-                    .find(|t| t.class == new_map.class && t.preg == new_map.preg)
-                {
-                    Some(t) => t.version = prev_version,
-                    None => {
-                        recovers.push(TaggedReg::new(new_map.class, new_map.preg, prev_version))
-                    }
-                }
-            }
+    /// Undoes one definition: frees a fresh allocation, or rolls a reuse
+    /// back to the version below, which it returns for the recover
+    /// command.
+    fn undo_change(&mut self, h: usize, change: DstChange) -> Option<TaggedReg> {
+        let DstChange {
+            logical,
+            old_map,
+            new_map,
+        } = change;
+        self.t.maps[h].set(logical, old_map);
+        let ci = new_map.class.index();
+        if new_map.version == 0 {
+            let remaining = self.prt[ci].map_dec(new_map.preg);
+            debug_assert_eq!(remaining, 0, "squashed fresh allocation still referenced");
+            self.t.free[ci].free(new_map.preg);
+            return None;
         }
+        // The read bit was true immediately before the bump (this
+        // micro-op was the first consumer and marked it); the read-mark
+        // undo restores the pre-rename value.
+        let prev_version = new_map.version - 1;
+        self.prt[ci].rollback(new_map.preg, prev_version, true);
+        self.prt[ci].map_dec(new_map.preg);
+        self.meta[ci][new_map.preg.0 as usize].unreused(new_map.version);
+        Some(TaggedReg::new(new_map.class, new_map.preg, prev_version))
+    }
+
+    /// Retires one definition: the mapping it replaced dies, releasing
+    /// its register once no map references it.
+    fn retire(&mut self, h: usize, change: DstChange) {
+        let old_map = change.old_map;
+        if self.prt[old_map.class.index()].map_dec(old_map.preg) == 0 {
+            self.release(old_map.class, old_map.preg);
+        }
+        self.t.retire_maps[h].set(change.logical, change.new_map);
     }
 }
 
@@ -538,48 +598,44 @@ impl Renamer for ReuseRenamer {
     fn rename_on(&mut self, hart: HartId, seq: u64, pc: u64, inst: &Inst) -> Option<UopVec> {
         let h = hart.index();
         let mut a = Attempt::new(seq);
-        let staged = self.stage(h, pc, inst, &mut a).is_some();
-        a.tally.add_to(&mut self.t.stats, &mut self.hint_stats);
-        if !staged {
-            // Roll back everything staged, youngest first. The recover
-            // candidates are discarded (nothing issued yet), so borrow
-            // the persistent buffer as scratch.
-            let mut scratch = std::mem::take(&mut self.squash.recovers);
-            scratch.clear();
-            self.undo_record(h, a.main, &mut scratch);
-            for record in a.repairs.into_iter().rev().flatten() {
-                self.undo_record(h, record, &mut scratch);
-            }
-            scratch.clear();
-            self.squash.recovers = scratch;
-            self.t.stats.stalls += 1;
-            // Until the epoch advances, every retry would add exactly
-            // this tally again.
-            self.stall_tally[h] = a.tally;
+        let Some((dst, dst2)) = self.stage(h, pc, inst, &mut a) else {
+            self.roll_back(h, &a);
             return None;
-        }
-        for &event in a.learn.iter().flatten() {
+        };
+        for event in a.learned() {
             self.learn(event);
         }
-        let uops = a.uops();
-        self.t.stats.renamed += uops.len() as u64;
-        self.records[h].extend(a.repairs.into_iter().flatten());
-        self.records[h].push(a.main);
-        Some(uops)
+        for (seq, repair) in a.repairs() {
+            self.records[h].push(Record {
+                seq,
+                first_reads: FirstReads::EMPTY,
+                dst: Some(repair),
+                dst2: None,
+            });
+        }
+        self.records[h].push(Record {
+            seq: a.seq,
+            first_reads: a.first_reads,
+            dst,
+            dst2,
+        });
+        self.t.stats.renamed += a.seq - seq + 1;
+        let main = a.main_uop(dst, dst2);
+        if a.n_repairs > 0 {
+            return Some(a.repaired_uops(main));
+        }
+        // Built where it is returned: the common bundle is never copied.
+        Some(UopVec::one(main))
     }
 
     fn commit_on(&mut self, hart: HartId, seq: u64) {
         let h = hart.index();
         let record = self.records[h].commit_front(seq);
-        for (logical, old_map, new_map) in [record.dst, record.dst2]
-            .iter()
-            .filter_map(DstAction::mapping)
-        {
-            let ci = old_map.class.index();
-            if self.prt[ci].map_dec(old_map.preg) == 0 {
-                self.release(old_map.class, old_map.preg);
-            }
-            self.t.retire_maps[h].set(logical, new_map);
+        if let Some(change) = record.dst {
+            self.retire(h, change);
+        }
+        if let Some(change) = record.dst2 {
+            self.retire(h, change);
         }
     }
 

@@ -3,8 +3,8 @@
 //! Split out of the main module so the renaming mechanism and its
 //! self-checking machinery stay independently readable.
 
-use super::{DstAction, ReuseRenamer};
-use crate::{PhysReg, TaggedReg};
+use super::ReuseRenamer;
+use crate::{PhysReg, TaggedReg, MAX_SHADOW_CELLS};
 use regshare_isa::{ArchReg, RegClass};
 
 /// A deliberate bookkeeping corruption, used by the invariant auditor's
@@ -24,6 +24,10 @@ pub enum CorruptKind {
     /// Alias thread 1's `x1` mapping onto thread 0's physical register —
     /// a cross-thread ownership leak (requires `threads >= 2`).
     CrossThreadLeak,
+    /// Record a speculation grant on `x1`'s physical register for the
+    /// highest version a counter can represent, above its current one —
+    /// release feedback for a reuse that never happened.
+    SpecGrantAboveVersion,
 }
 
 impl ReuseRenamer {
@@ -60,6 +64,10 @@ impl ReuseRenamer {
                 if self.prt[ci].map_dec(old.preg) == 0 {
                     self.release(old.class, old.preg);
                 }
+            }
+            CorruptKind::SpecGrantAboveVersion => {
+                let t = self.t.maps[0].get(r1);
+                self.meta[ci][t.preg.0 as usize].spec_dynamic |= 1 << MAX_SHADOW_CELLS;
             }
         }
     }
@@ -98,9 +106,10 @@ impl ReuseRenamer {
                     claim(&mut owner, tag.preg.0 as usize, h)?;
                 }
                 for record in self.records[h].iter() {
-                    for (_, old_map, _) in [record.dst, record.dst2]
+                    for old_map in [record.dst, record.dst2]
                         .iter()
-                        .filter_map(DstAction::mapping)
+                        .flatten()
+                        .map(|c| c.old_map)
                     {
                         if old_map.class == class {
                             expected[old_map.preg.0 as usize] += 1;
@@ -134,6 +143,16 @@ impl ReuseRenamer {
                 if counter > max_version {
                     return Err(format!(
                         "{class}: {p} version counter {counter} exceeds the maximum {max_version}"
+                    ));
+                }
+                // Speculation grants name versions a reuse created: none
+                // above the register's current version while it is in use.
+                let meta = &self.meta[ci][i];
+                let granted = u16::from(meta.spec_dynamic | meta.spec_static);
+                if !free[i] && granted >> (counter + 1) != 0 {
+                    return Err(format!(
+                        "{class}: {p} carries a speculation grant (versions {granted:#010b}) \
+                         above its PRT version {counter}"
                     ));
                 }
             }

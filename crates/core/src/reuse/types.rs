@@ -1,19 +1,24 @@
-//! Supporting value types of the sharing renamer: per-register
-//! allocation metadata, speculative-reuse decisions, the in-flight
-//! rename record, and the rename attempt with its deferred training
-//! events and counter tally.
+//! Supporting value types of the sharing renamer: per-register release
+//! metadata, speculative-reuse decisions, the in-flight rename record,
+//! and the rename attempt with its deferred training events and counter
+//! tally.
 
-use crate::rename_common::{ReadMarks, SeqRecord};
+use crate::rename_common::{DstChange, SeqRecord};
 use crate::renamer::{HintStats, RenameStats, Uop, UopKind, UopVec};
-use crate::TaggedReg;
-use regshare_isa::{ArchReg, Inst, ShareHint};
+use crate::{PhysReg, TaggedReg};
+use regshare_isa::{ArchReg, Inst, RegClass, ShareHint};
 
-/// Per-physical-register allocation metadata, used for the predictor's
-/// release-time feedback and the Fig. 12 accuracy accounting.
+/// Per-physical-register metadata: what the release-time feedback reads
+/// (the type predictor's rule 1, the Fig. 12 accounting and the
+/// single-use predictor's reinforcement), plus the hint of each live
+/// version. Versions index bit masks (at most
+/// [`crate::MAX_SHADOW_CELLS`] + 1 of them), so an allocation resets a
+/// few bytes and a release walks only the versions a speculation
+/// created.
 #[derive(Debug, Clone, Copy, Default)]
 pub(super) struct PregMeta {
     /// Predictor entry used at allocation.
-    pub(super) entry: usize,
+    pub(super) entry: u32,
     /// Entry value at allocation (the prediction).
     pub(super) predicted: u8,
     /// Reuses observed so far (decremented when a reuse is squashed).
@@ -28,17 +33,72 @@ pub(super) struct PregMeta {
     /// predictor; release feedback then goes to [`HintStats`] instead of
     /// the predictor.
     pub(super) static_bank: bool,
-    /// For each version created by a *speculative* (non-redefining)
-    /// reuse: the single-use-predictor entry of the consumer that took
-    /// it, for release-time reinforcement / repair-time correction.
-    pub(super) spec_entries: [Option<u32>; 8],
-    /// Versions created by a speculation granted by a static `SingleUse`
-    /// proof (never trains the dynamic predictor).
-    pub(super) spec_static: [bool; 8],
-    /// The compiler's hint for the producer of each live version, used
-    /// when this register is weighed as a reuse source. Cleared back to
-    /// `Unknown` when the version is squashed.
-    pub(super) version_hints: [ShareHint; 8],
+    /// Bit `v`: version `v` was created by a speculative reuse that the
+    /// single-use predictor granted; `spec_entries[v]` is then the
+    /// consumer's entry, for release-time reinforcement or repair-time
+    /// correction.
+    pub(super) spec_dynamic: u8,
+    /// Bit `v`: version `v` was created by a speculation granted by a
+    /// static `SingleUse` proof (never trains the dynamic predictor).
+    pub(super) spec_static: u8,
+    /// The compiler's hint for the producer of each live version, two
+    /// bits per version ([`ShareHint::to_bits`]), used when this register
+    /// is weighed as a reuse source. Cleared back to `Unknown` when the
+    /// version is squashed.
+    hints: u16,
+    /// See `spec_dynamic`; stale wherever its bit is clear.
+    pub(super) spec_entries: [u32; 8],
+}
+
+impl PregMeta {
+    /// Starts the metadata of a fresh allocation, whose version 0 was
+    /// defined under `hint`.
+    pub(super) fn allocated(
+        &mut self,
+        entry: u32,
+        predicted: u8,
+        static_bank: bool,
+        hint: ShareHint,
+    ) {
+        self.entry = entry;
+        self.predicted = predicted;
+        self.reuses = 0;
+        self.multi_use = false;
+        self.blocked = false;
+        self.has_entry = !static_bank;
+        self.static_bank = static_bank;
+        self.spec_dynamic = 0;
+        self.spec_static = 0;
+        self.hints = u16::from(hint.to_bits());
+    }
+
+    /// The compiler's hint for the producer of version `v`.
+    pub(super) fn hint(&self, v: u8) -> ShareHint {
+        ShareHint::from_bits((self.hints >> (2 * v)) as u8)
+    }
+
+    /// Records the reuse that created version `v` under `hint`, granted
+    /// by `spec`.
+    pub(super) fn reused(&mut self, v: u8, hint: ShareHint, spec: Option<(SpecSource, u32)>) {
+        self.reuses += 1;
+        self.hints = self.hints & !(0b11 << (2 * v)) | u16::from(hint.to_bits()) << (2 * v);
+        match spec {
+            None => {}
+            Some((SpecSource::Dynamic, entry)) => {
+                self.spec_dynamic |= 1 << v;
+                self.spec_entries[v as usize] = entry;
+            }
+            Some((SpecSource::Static, _)) => self.spec_static |= 1 << v,
+        }
+    }
+
+    /// Forgets the squashed reuse that created version `v`.
+    pub(super) fn unreused(&mut self, v: u8) {
+        self.reuses = self.reuses.saturating_sub(1);
+        self.hints &= !(0b11 << (2 * v));
+        self.spec_dynamic &= !(1 << v);
+        self.spec_static &= !(1 << v);
+    }
 }
 
 /// Who authorised a speculative (non-redefining) reuse.
@@ -62,53 +122,47 @@ pub(super) enum SpecDecision {
     Deny,
 }
 
+/// The registers whose read bit one micro-op set from clear: the
+/// sources it is the first consumer of, which a squash clears again. A
+/// source whose bit it found set needs no undo: by the time a squash or
+/// a stall walks back to the micro-op, that bit is set again.
+///
+/// At most three, packed into one word so that a record copies them
+/// with one load: entry `i`'s register number in bits `16i..16i + 16`,
+/// whether it is a floating-point register in bit `48 + i`, and the
+/// count from bit 56.
 #[derive(Debug, Clone, Copy)]
-pub(super) enum DstAction {
-    None,
-    /// A fresh allocation replacing `old_map`.
-    Alloc {
-        logical: ArchReg,
-        old_map: TaggedReg,
-        new_map: TaggedReg,
-    },
-    /// A reuse of a source register: version bumped from `prev_version`.
-    Reuse {
-        logical: ArchReg,
-        old_map: TaggedReg,
-        new_map: TaggedReg,
-        prev_version: u8,
-    },
-}
+pub(super) struct FirstReads(u64);
 
-impl DstAction {
-    /// The logical register the action redefined, with its replaced and
-    /// its new mapping; `None` for an absent destination.
-    pub(super) fn mapping(&self) -> Option<(ArchReg, TaggedReg, TaggedReg)> {
-        match *self {
-            DstAction::None => None,
-            DstAction::Alloc {
-                logical,
-                old_map,
-                new_map,
-            }
-            | DstAction::Reuse {
-                logical,
-                old_map,
-                new_map,
-                ..
-            } => Some((logical, old_map, new_map)),
-        }
+impl FirstReads {
+    pub(super) const EMPTY: FirstReads = FirstReads(0);
+
+    pub(super) fn push(&mut self, class: RegClass, preg: PhysReg) {
+        let i = self.0 >> 56;
+        let fp = u64::from(class == RegClass::Fp);
+        self.0 += u64::from(preg.0) << (16 * i) | fp << (48 + i) | 1 << 56;
+    }
+
+    /// The registers, in the order they were marked.
+    pub(super) fn iter(self) -> impl DoubleEndedIterator<Item = (RegClass, PhysReg)> {
+        (0..self.0 >> 56).map(move |i| {
+            let fp = self.0 >> (48 + i) & 1 == 1;
+            let class = if fp { RegClass::Fp } else { RegClass::Int };
+            (class, PhysReg((self.0 >> (16 * i)) as u16))
+        })
     }
 }
 
+/// The in-flight record of one renamed micro-op. A definition whose new
+/// mapping is at version 0 allocated it; a later version reused the
+/// register at the version below.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Record {
     pub(super) seq: u64,
-    /// Read bits set by this micro-op, with their previous values.
-    pub(super) read_marks: ReadMarks,
-    pub(super) dst: DstAction,
+    pub(super) first_reads: FirstReads,
+    pub(super) dst: Option<DstChange>,
     /// Base-register writeback of post-increment operations.
-    pub(super) dst2: DstAction,
+    pub(super) dst2: Option<DstChange>,
 }
 
 impl SeqRecord for Record {
@@ -135,34 +189,76 @@ pub(super) enum Learn {
 /// The counters a rename attempt adds whether or not it succeeds: a
 /// stall rolls back every table, but hardware counts attempted work, so
 /// a reuse taken for the primary destination is a reuse even when the
-/// written-back base then stalls the instruction. While the
-/// [`crate::Renamer::state_epoch`] is unchanged a retry is bit-identical
-/// to the failed attempt, so [`crate::Renamer::note_stall`] adds the
-/// failed attempt's tally again instead of re-running the rename.
+/// written-back base then stalls the instruction. The attempt adds each
+/// count to the statistics as it happens and keeps a copy here. While
+/// the [`crate::Renamer::state_epoch`] is unchanged a retry is
+/// bit-identical to the failed attempt, so [`crate::Renamer::note_stall`]
+/// adds the failed attempt's tally again instead of re-running the
+/// rename.
+///
+/// One attempt counts at most five of anything (three repairs and two
+/// definitions), so each [`Count`] is a 4-bit lane of one word.
 #[derive(Debug, Clone, Copy, Default)]
-pub(super) struct Tally {
-    pub(super) reuses: u64,
-    pub(super) safe_reuses: u64,
-    pub(super) speculative_reuses: u64,
-    pub(super) allocations: u64,
-    pub(super) static_allocs: u64,
-    pub(super) dynamic_allocs: u64,
-    pub(super) static_speculations: u64,
-    pub(super) dynamic_speculations: u64,
-    pub(super) static_denials: u64,
+pub(super) struct Tally(u64);
+
+/// The counters an attempt adds, one lane of a [`Tally`] each.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Count {
+    Reuses,
+    SafeReuses,
+    SpeculativeReuses,
+    Allocations,
+    StaticAllocs,
+    DynamicAllocs,
+    StaticSpeculations,
+    DynamicSpeculations,
+    StaticDenials,
+}
+
+impl Count {
+    const ALL: [Count; 9] = [
+        Count::Reuses,
+        Count::SafeReuses,
+        Count::SpeculativeReuses,
+        Count::Allocations,
+        Count::StaticAllocs,
+        Count::DynamicAllocs,
+        Count::StaticSpeculations,
+        Count::DynamicSpeculations,
+        Count::StaticDenials,
+    ];
+
+    /// The statistics counter this count adds to.
+    pub(super) fn counter<'a>(
+        self,
+        stats: &'a mut RenameStats,
+        hints: &'a mut HintStats,
+    ) -> &'a mut u64 {
+        match self {
+            Count::Reuses => &mut stats.reuses,
+            Count::SafeReuses => &mut stats.safe_reuses,
+            Count::SpeculativeReuses => &mut stats.speculative_reuses,
+            Count::Allocations => &mut stats.allocations,
+            Count::StaticAllocs => &mut hints.static_allocs,
+            Count::DynamicAllocs => &mut hints.dynamic_allocs,
+            Count::StaticSpeculations => &mut hints.static_speculations,
+            Count::DynamicSpeculations => &mut hints.dynamic_speculations,
+            Count::StaticDenials => &mut hints.static_denials,
+        }
+    }
 }
 
 impl Tally {
-    pub(super) fn add_to(&self, stats: &mut RenameStats, hints: &mut HintStats) {
-        stats.reuses += self.reuses;
-        stats.safe_reuses += self.safe_reuses;
-        stats.speculative_reuses += self.speculative_reuses;
-        stats.allocations += self.allocations;
-        hints.static_allocs += self.static_allocs;
-        hints.dynamic_allocs += self.dynamic_allocs;
-        hints.static_speculations += self.static_speculations;
-        hints.dynamic_speculations += self.dynamic_speculations;
-        hints.static_denials += self.static_denials;
+    /// Keeps `n` more of `count`.
+    pub(super) fn add(&mut self, count: Count, n: u64) {
+        self.0 += n << (4 * count as u32);
+    }
+
+    /// Adds the kept counts to the statistics again.
+    pub(super) fn add_to(self, stats: &mut RenameStats, hints: &mut HintStats) {
+        for count in Count::ALL {
+            *count.counter(stats, hints) += (self.0 >> (4 * count as u32)) & 0xf;
+        }
     }
 }
 
@@ -170,39 +266,42 @@ impl Tally {
 /// the first consumer of, each with whether the instruction redefines it.
 pub(super) type Candidates = [Option<(TaggedReg, bool)>; 3];
 
-/// One rename attempt: what phases A–D staged, inline because renaming
-/// never allocates. A stall undoes it; a success turns it into micro-ops
-/// and in-flight records.
+/// One rename attempt: what phases A–D staged, kept in place (never
+/// moved) and small, since repairs are rare. The definitions themselves
+/// travel by value. A stall undoes the attempt; a success pushes its
+/// records and turns it into the micro-op bundle.
 pub(super) struct Attempt {
-    /// Phase A's repair records, per source slot (so oldest first), each
-    /// an allocation.
-    pub(super) repairs: [Option<Record>; 3],
-    /// The main micro-op's record; its sequence number follows the
-    /// repairs'.
-    pub(super) main: Record,
+    /// The main micro-op's sequence number; it follows the repairs'.
+    pub(super) seq: u64,
     /// The main micro-op's source tags, per operand slot.
     pub(super) srcs: [Option<TaggedReg>; 3],
-    /// Deferred training, in the order observed: at most one `MultiUse`
-    /// per source slot, one `Blocked` per destination candidate and one
-    /// for the written-back base.
-    pub(super) learn: [Option<Learn>; 7],
-    n_learn: usize,
+    /// The read bits Phase B set from clear.
+    pub(super) first_reads: FirstReads,
+    /// Phase A's repairs, oldest first: each moves a logical register
+    /// from its stale mapping to a fresh register.
+    repairs: [Option<DstChange>; 3],
+    pub(super) n_repairs: u8,
+    /// Bit `s`: Phase B found operand slot `s`'s read bit clear, so this
+    /// rename is that source's first consumer.
+    first_use: u8,
+    /// Deferred rule-3 training, in the order observed: one per primary
+    /// candidate and one for the written-back base.
+    blocked: [TaggedReg; 4],
+    n_blocked: u8,
     pub(super) tally: Tally,
 }
 
 impl Attempt {
     pub(super) fn new(seq: u64) -> Self {
         Attempt {
-            repairs: [None; 3],
-            main: Record {
-                seq,
-                read_marks: ReadMarks::EMPTY,
-                dst: DstAction::None,
-                dst2: DstAction::None,
-            },
+            seq,
             srcs: [None; 3],
-            learn: [None; 7],
-            n_learn: 0,
+            first_reads: FirstReads::EMPTY,
+            repairs: [None; 3],
+            n_repairs: 0,
+            first_use: 0,
+            blocked: [TaggedReg::new(RegClass::Int, PhysReg(0), 0); 4],
+            n_blocked: 0,
             tally: Tally::default(),
         }
     }
@@ -218,81 +317,99 @@ impl Attempt {
         stale: TaggedReg,
         fresh: TaggedReg,
     ) {
-        self.defer(Learn::MultiUse(stale));
-        let dst = DstAction::Alloc {
+        self.repairs[self.n_repairs as usize] = Some(DstChange {
             logical,
             old_map: stale,
             new_map: fresh,
-        };
-        self.repairs[slot] = Some(Record {
-            seq: self.main.seq,
-            read_marks: ReadMarks::EMPTY,
-            dst,
-            dst2: DstAction::None,
         });
+        self.n_repairs += 1;
         self.srcs[slot] = Some(fresh);
-        self.main.seq += 1;
+        self.seq += 1;
     }
 
-    /// Defers a training event until the rename is known to succeed.
-    pub(super) fn defer(&mut self, event: Learn) {
-        self.learn[self.n_learn] = Some(event);
-        self.n_learn += 1;
+    /// The staged repairs with their sequence numbers, oldest first.
+    pub(super) fn repairs(&self) -> impl DoubleEndedIterator<Item = (u64, DstChange)> + '_ {
+        let first = self.seq - u64::from(self.n_repairs);
+        (0..self.n_repairs).map(move |i| {
+            let repair = self.repairs[i as usize].expect("repairs are staged in order");
+            (first + u64::from(i), repair)
+        })
     }
 
-    /// The tag of source register `r`: after Phase A every operand slot
-    /// naming `r` holds the same tag.
-    pub(super) fn src_tag(&self, inst: &Inst, r: ArchReg) -> Option<TaggedReg> {
-        let slot = inst.raw_sources().iter().position(|s| *s == Some(r))?;
-        self.srcs[slot]
+    /// Records Phase B's verdict for operand `slot`.
+    pub(super) fn set_first_use(&mut self, slot: usize, first: bool) {
+        self.first_use |= u8::from(first) << slot;
     }
 
-    /// Whether this rename is the first consumer of source `t`: Phase B
-    /// found its read bit clear.
-    pub(super) fn first_use(&self, t: TaggedReg) -> bool {
-        self.main.read_marks.prev_read(t.class, t.preg) == Some(false)
+    /// Whether this rename is the first consumer of operand `slot`.
+    pub(super) fn first_use(&self, slot: usize) -> bool {
+        self.first_use & (1 << slot) != 0
+    }
+
+    /// Defers rule-3 training until the rename is known to succeed.
+    pub(super) fn defer_blocked(&mut self, t: TaggedReg) {
+        self.blocked[self.n_blocked as usize] = t;
+        self.n_blocked += 1;
+    }
+
+    /// The deferred training events in the order observed: each
+    /// repair's stale source (Phase A), then the blocked candidates.
+    pub(super) fn learned(&self) -> impl Iterator<Item = Learn> + '_ {
+        let multi = self.repairs().map(|(_, r)| Learn::MultiUse(r.old_map));
+        let blocked = self.blocked[..self.n_blocked as usize].iter();
+        multi.chain(blocked.copied().map(Learn::Blocked))
     }
 
     /// The primary destination's reuse candidates: each same-class
-    /// source this rename is the first consumer of, once per physical
-    /// register (two logical sources may share one), with whether the
-    /// instruction redefines it. The written-back base belongs to the
-    /// writeback slot.
+    /// source this rename is the first consumer of, once per logical and
+    /// once per physical register, with whether the instruction
+    /// redefines it. The written-back base belongs to the writeback slot.
     pub(super) fn dst_candidates(&self, inst: &Inst, dl: ArchReg) -> Candidates {
+        let raw = inst.raw_sources();
         let mut out: Candidates = [None; 3];
-        for (i, r) in inst.uses().enumerate() {
-            let Some(t) = self.src_tag(inst, r) else {
+        for slot in 0..3 {
+            let (Some(r), Some(t)) = (raw[slot], self.srcs[slot]) else {
                 continue;
             };
-            let seen = out[..i].iter().flatten().any(|(c, _)| c.preg == t.preg);
-            if t.class == dl.class() && inst.dst2() != Some(r) && self.first_use(t) && !seen {
-                out[i] = Some((t, r == dl));
+            // A slot naming `r` again was decided by `r`'s first slot.
+            let repeat = raw[..slot].contains(&Some(r));
+            let taken = out[..slot].iter().flatten().any(|(c, _)| c.preg == t.preg);
+            if self.first_use(slot)
+                && t.class == dl.class()
+                && inst.dst2() != Some(r)
+                && !repeat
+                && !taken
+            {
+                out[slot] = Some((t, r == dl));
             }
         }
         out
     }
 
-    /// The repair moves and then the main micro-op, in sequence order.
-    pub(super) fn uops(&self) -> UopVec {
+    /// The main micro-op, defining `dst` and `dst2`.
+    pub(super) fn main_uop(&self, dst: Option<DstChange>, dst2: Option<DstChange>) -> Uop {
+        Uop {
+            seq: self.seq,
+            kind: UopKind::Main,
+            srcs: self.srcs,
+            dst: dst.map(|c| c.new_map),
+            dst2: dst2.map(|c| c.new_map),
+        }
+    }
+
+    /// The repair moves, then `main`.
+    pub(super) fn repaired_uops(&self, main: Uop) -> UopVec {
         let mut uops = UopVec::new();
-        for record in self.repairs.iter().flatten() {
-            let (_, stale, fresh) = record.dst.mapping().expect("a repair allocates");
+        for (seq, repair) in self.repairs() {
             uops.push(Uop {
-                seq: record.seq,
+                seq,
                 kind: UopKind::RepairMove,
-                srcs: [Some(stale), None, None],
-                dst: Some(fresh),
+                srcs: [Some(repair.old_map), None, None],
+                dst: Some(repair.new_map),
                 dst2: None,
             });
         }
-        let new_tag = |action: DstAction| action.mapping().map(|(_, _, new_map)| new_map);
-        uops.push(Uop {
-            seq: self.main.seq,
-            kind: UopKind::Main,
-            srcs: self.srcs,
-            dst: new_tag(self.main.dst),
-            dst2: new_tag(self.main.dst2),
-        });
+        uops.push(main);
         uops
     }
 }

@@ -59,7 +59,7 @@ proptest! {
                 }
             } else if let Some(p) = held.pop() {
                 held_set.remove(&p);
-                fl.free(p, &banks);
+                fl.free(p);
             }
             prop_assert_eq!(fl.free_total() + held.len(), total);
         }

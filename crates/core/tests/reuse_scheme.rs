@@ -243,6 +243,7 @@ fn each_corruption_kind_is_detected() {
         (CorruptKind::LeakPreg, "leak"),
         (CorruptKind::StaleVersionTag, "stale version"),
         (CorruptKind::RefcountOffByOne, "mapping count"),
+        (CorruptKind::SpecGrantAboveVersion, "speculation grant"),
     ] {
         let mut r = renamer();
         r.audit().unwrap();

@@ -288,8 +288,11 @@ impl CoreState {
     /// Locates a live micro-op across the per-thread ROB partitions:
     /// `(thread id, position in that thread's ROB)`. The thread count is
     /// at most [`regshare_isa::MAX_HARTS`], so the scan is a handful of
-    /// O(1) probes.
+    /// O(1) probes; a single thread takes one probe without the scan.
     pub(crate) fn rob_find(&self, seq: u64) -> Option<(usize, usize)> {
+        if let [only] = self.threads.as_slice() {
+            return only.rob.position_of(seq).map(|idx| (0, idx));
+        }
         self.threads
             .iter()
             .enumerate()

@@ -71,6 +71,12 @@ pub struct LoadStoreQueue {
     loads: VecDeque<u64>, // seqs, for occupancy only
     lq_cap: usize,
     sq_cap: usize,
+    /// Sequence number of the oldest queued store whose address is still
+    /// unknown, or `None` when every queued store has one: a load may
+    /// execute exactly when it is older than this store. Set on
+    /// dispatch, advanced when that store resolves, cleared when a squash
+    /// removes it.
+    oldest_unresolved: Option<u64>,
 }
 
 fn ranges_overlap(a: u64, aw: u8, b: u64, bw: u8) -> bool {
@@ -85,6 +91,7 @@ impl LoadStoreQueue {
             loads: VecDeque::new(),
             lq_cap,
             sq_cap,
+            oldest_unresolved: None,
         }
     }
 
@@ -101,6 +108,7 @@ impl LoadStoreQueue {
             width: 0,
             value: None,
         });
+        self.oldest_unresolved.get_or_insert(seq);
     }
 
     /// Dispatches a load entry.
@@ -117,25 +125,33 @@ impl LoadStoreQueue {
         width: u8,
         value: u64,
     ) -> Result<(), LsqError> {
-        let Some(e) = self.stores.iter_mut().find(|e| e.seq == seq) else {
+        // Stores queue in program order, so their seqs are sorted.
+        let Ok(i) = self.stores.binary_search_by_key(&seq, |e| e.seq) else {
             return Err(LsqError {
                 seq,
                 detail: "resolving a store that is not in the queue".into(),
             });
         };
+        let e = &mut self.stores[i];
         e.addr = Some(addr);
         e.width = width;
         e.value = Some(value);
+        if self.oldest_unresolved == Some(seq) {
+            self.oldest_unresolved = self.first_unresolved(i + 1);
+        }
         Ok(())
+    }
+
+    /// The oldest unresolved store from queue position `from` on.
+    fn first_unresolved(&self, from: usize) -> Option<u64> {
+        let mut younger = self.stores.range(from..);
+        younger.find(|e| e.addr.is_none()).map(|e| e.seq)
     }
 
     /// True when every store older than `seq` has a resolved address —
     /// the condition for a load at `seq` to execute.
     pub fn older_stores_resolved(&self, seq: u64) -> bool {
-        self.stores
-            .iter()
-            .take_while(|e| e.seq < seq)
-            .all(|e| e.addr.is_some())
+        self.oldest_unresolved.is_none_or(|oldest| oldest >= seq)
     }
 
     /// Searches older stores for one supplying (or blocking) a load of
@@ -185,6 +201,11 @@ impl LoadStoreQueue {
                 detail: "committing store from an empty queue".into(),
             });
         };
+        if self.oldest_unresolved == Some(e.seq) {
+            // Only a malformed commit (checked below) removes an
+            // unresolved store.
+            self.oldest_unresolved = self.first_unresolved(0);
+        }
         if e.seq != seq {
             return Err(LsqError {
                 seq,
@@ -224,6 +245,10 @@ impl LoadStoreQueue {
     pub fn squash_after(&mut self, seq: u64) {
         while matches!(self.stores.back(), Some(e) if e.seq > seq) {
             self.stores.pop_back();
+        }
+        // Every store older than the oldest unresolved one is resolved.
+        if self.oldest_unresolved.is_some_and(|oldest| oldest > seq) {
+            self.oldest_unresolved = None;
         }
         while matches!(self.loads.back(), Some(s) if *s > seq) {
             self.loads.pop_back();

@@ -8,10 +8,12 @@
 //! Each experiment prints its table and writes machine-readable rows to
 //! `results/<exp>.json`. The experiments themselves live in
 //! `regshare::experiments` (one module per subcommand); this binary only
-//! parses flags and dispatches through the registry.
+//! parses flags and dispatches through the registry. A reader that
+//! closes early ends the run quietly with status 141.
 
 use regshare::experiments::{die, flag_value, registry, Args};
 use regshare::harness::kernel_by_name;
+use regshare::outln;
 use std::num::NonZeroU64;
 
 // Count heap traffic so `experiments profile` can report allocations
@@ -68,7 +70,7 @@ fn parse_args() -> Args {
 
 fn help() -> ! {
     let names: Vec<&str> = registry().iter().map(|(n, _)| *n).collect();
-    println!(
+    outln!(
         "usage: experiments [EXPERIMENT..] [--scale N] [--out DIR]\n\
          \x20                 [--campaigns N] [--seed N] [--kernels a,b,c]\n\
          \x20                 [--sample] [--workers N] [--period N] [--warmup N] [--measure N]\n\

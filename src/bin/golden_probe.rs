@@ -7,10 +7,11 @@
 //! comparator at rf 48) or `COUNTERS_GOLDEN` in `tests/determinism.rs`
 //! (`counters` mode: kernel, hint policy, cycles and the FNV-1a digest
 //! of every rename, hint and predictor counter of the sharing renamer
-//! at rf 48).
+//! at rf 48). A reader that closes early ends it quietly with status 141.
 
 use regshare::core::HintPolicy;
 use regshare::harness::{run_kernel, RenamerKind, RunSpec, Scheme};
+use regshare::outln;
 use regshare::workloads::all_kernels;
 use regshare_serve::fnv1a64;
 
@@ -31,9 +32,13 @@ fn main() {
                     let mut spec = RunSpec::scheme(kernel, scheme, rf, scale);
                     spec.sim = spec.sim.with_width(width);
                     let r = spec.run().expect("width golden run");
-                    println!(
+                    outln!(
                         "    (\"{}\", Scheme::{:?}, {}, {}, {}),",
-                        kernel.name, scheme, width, r.cycles, r.committed_instructions
+                        kernel.name,
+                        scheme,
+                        width,
+                        r.cycles,
+                        r.committed_instructions
                     );
                 }
             }
@@ -47,9 +52,12 @@ fn main() {
             let mut spec = RunSpec::scheme(kernel, Scheme::Baseline, 48, scale);
             spec.renamer = RenamerKind::EarlyRelease;
             let r = spec.run().expect("early-release golden run");
-            println!(
+            outln!(
                 "    (\"{}\", {}, {}, {}),",
-                kernel.name, r.cycles, r.committed_instructions, r.rename.releases
+                kernel.name,
+                r.cycles,
+                r.committed_instructions,
+                r.rename.releases
             );
         }
         return;
@@ -68,7 +76,7 @@ fn main() {
                 let r = spec.run().expect("counters golden run");
                 // The text `tests/determinism.rs` digests.
                 let counters = format!("{:?} {:?} {:?}", r.rename, r.hints, r.predictor);
-                println!(
+                outln!(
                     "    (\"{}\", HintPolicy::{:?}, {}, {:#018x}),",
                     kernel.name,
                     policy,
@@ -82,9 +90,12 @@ fn main() {
     for kernel in all_kernels() {
         for scheme in [Scheme::Baseline, Scheme::Proposed] {
             let r = run_kernel(&kernel, scheme, rf, scale);
-            println!(
+            outln!(
                 "    (\"{}\", Scheme::{:?}, {}, {}),",
-                kernel.name, scheme, r.cycles, r.committed_instructions
+                kernel.name,
+                scheme,
+                r.cycles,
+                r.committed_instructions
             );
         }
     }

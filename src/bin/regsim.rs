@@ -14,7 +14,7 @@
 //! `SIGPIPE`; any other failed write to stdout is an `error: …`.
 
 use regshare::core::{BankConfig, Renamer};
-use regshare::experiments::{die, flag_value};
+use regshare::experiments::{check_stdout, die, flag_value};
 use regshare::harness::{
     check_swept_rf, equal_count_config, kernel_by_name, renamer_for, swept_class, RenamerKind,
     Scheme,
@@ -41,17 +41,8 @@ struct Options {
     list: bool,
 }
 
-/// Ends the process if a write to stdout failed.
-fn check(written: io::Result<()>) {
-    match written {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(141),
-        Err(e) => die(&format!("cannot write to stdout: {e}")),
-    }
-}
-
 fn usage() -> ! {
-    check(writeln!(
+    check_stdout(writeln!(
         io::stdout().lock(),
         "usage: regsim [--kernel NAME | --file PROG.s | --synthetic] [options]\n\
          \n\
@@ -142,9 +133,9 @@ fn main() {
     let o = parse();
     let mut out = io::stdout().lock();
     if o.list {
-        check(writeln!(out, "{:10}  suite", "kernel"));
+        check_stdout(writeln!(out, "{:10}  suite", "kernel"));
         for k in all_kernels() {
-            check(writeln!(out, "{:10}  {}", k.name, k.suite));
+            check_stdout(writeln!(out, "{:10}  {}", k.name, k.suite));
         }
         return;
     }
@@ -202,7 +193,7 @@ fn main() {
         match sim.run() {
             Ok(report) => {
                 let (scheme, regs) = (scheme.label(), o.regs);
-                check(writeln!(
+                check_stdout(writeln!(
                     out,
                     "=== {label} / {scheme} / {regs} regs ===\n{report}\n"
                 ));
@@ -216,6 +207,6 @@ fn main() {
     }
     if ipcs.len() == 2 && ipcs[0] > 0.0 {
         let speedup = ipcs[1] / ipcs[0];
-        check(writeln!(out, "speedup (proposed / baseline): {speedup:.4}"));
+        check_stdout(writeln!(out, "speedup (proposed / baseline): {speedup:.4}"));
     }
 }

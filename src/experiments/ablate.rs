@@ -120,7 +120,7 @@ struct AblateRow {
 /// Runs every setting on every kernel against the 64-register baseline
 /// and writes `<name>.json`.
 fn ablate(args: &Args, name: &str, title: &str, settings: &[Setting]) -> Result<(), ExpError> {
-    println!("{title}");
+    outln!("{title}");
     let mut table = Table::with_headers(&["setting", "geomean speedup", "mean reuse %"]);
     table.numeric();
     let kernels = all_kernels();
@@ -153,6 +153,6 @@ fn ablate(args: &Args, name: &str, title: &str, settings: &[Setting]) -> Result<
             mean_reuse_pct: m,
         });
     }
-    print!("{table}");
+    out!("{table}");
     save(&args.out_dir, name, &rows)
 }

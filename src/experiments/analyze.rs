@@ -36,7 +36,7 @@ struct StaticOracleRow {
 /// Runs the static/dynamic cross-check and writes `static_oracle.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
     use crate::analyze::{classify, lint_program, oracle_check, Cfg, SiteClass};
-    println!("== Static oracle: per-kernel static sharing bounds vs dynamic measurement ==");
+    outln!("== Static oracle: per-kernel static sharing bounds vs dynamic measurement ==");
     // Kernels halt at a loop boundary, so the functional budget must be
     // comfortably above the sizing scale for complete traces (the
     // soundness cross-checks need them).
@@ -104,7 +104,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
             format!("{:.1}", r.predictor_accuracy_pct),
         ]);
     }
-    print!("{table}");
+    out!("{table}");
     for r in &rows {
         assert!(
             r.weighted_upper_bound_pct + 1e-9 >= r.dynamic_single_use_pct
@@ -118,7 +118,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
             r.kernel
         );
     }
-    println!(
+    outln!(
         "static bounds bracket the dynamic single-use fraction on all {} kernels",
         rows.len()
     );

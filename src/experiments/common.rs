@@ -197,6 +197,18 @@ pub fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Ends the process if a write to stdout failed: quietly with status
+/// 141, the status a shell reports for a writer killed by `SIGPIPE`,
+/// when the reader closed early (`experiments … | head`); with an
+/// `error: …` otherwise.
+pub fn check_stdout(written: std::io::Result<()>) {
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(141),
+        Err(e) => die(&format!("cannot write to stdout: {e}")),
+    }
+}
+
 /// The command-line value after `flag`, parsed as a `T`; exits through
 /// [`die`] with "`flag` needs `what`" when it is missing or does not parse.
 pub fn flag_value<T: FromStr>(
@@ -247,7 +259,7 @@ pub(crate) fn save<T: Serialize>(out_dir: &str, name: &str, rows: &T) -> Result<
         detail: e.to_string(),
     })?;
     write_json_atomic(Path::new(&path), &json)?;
-    println!("  -> {path}\n");
+    outln!("  -> {path}\n");
     Ok(())
 }
 

@@ -19,7 +19,7 @@ struct Fig1Row {
 
 /// Runs the experiment and writes `fig1.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
-    println!("== Figure 1: single-consumer destinations (redefining vs not) ==");
+    outln!("== Figure 1: single-consumer destinations (redefining vs not) ==");
     let mut table =
         Table::with_headers(&["kernel", "suite", "redef%", "other%", "total%", "dest%"]);
     table.numeric();
@@ -57,6 +57,6 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
             "-".into(),
         ]);
     }
-    print!("{table}");
+    out!("{table}");
     save(&args.out_dir, "fig1", &rows)
 }

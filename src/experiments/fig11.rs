@@ -18,7 +18,7 @@ struct Fig11Row {
 
 /// Runs the four-scheme sweep and writes `fig11.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
-    println!("== Figure 11: average IPC vs register file size ==");
+    outln!("== Figure 11: average IPC vs register file size ==");
     let kernels = all_kernels();
     let points: Vec<(usize, crate::workloads::Kernel)> = RF_SIZES
         .into_iter()
@@ -80,7 +80,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
             format!("{:.4}", r.early_release_ipc),
         ]);
     }
-    print!("{table}");
+    out!("{table}");
     // Register-savings estimate: for each baseline size, the smallest
     // proposed equal-count configuration that matches its IPC.
     for target in &rows {
@@ -88,7 +88,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
             if r.rf_regs < target.rf_regs
                 && r.proposed_equal_count_ipc >= target.baseline_ipc * 0.999
             {
-                println!(
+                outln!(
                     "proposed scheme matches baseline-{} IPC with {} registers ({:.1}% fewer)",
                     target.rf_regs,
                     r.rf_regs,

@@ -18,7 +18,7 @@ struct Fig12Row {
 
 /// Runs the predictor sweep and writes `fig12.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
-    println!("== Figure 12: register type predictor accuracy (at 64 regs) ==");
+    outln!("== Figure 12: register type predictor accuracy (at 64 regs) ==");
     let mut table = Table::with_headers(&[
         "suite",
         "reuse-correct",
@@ -60,6 +60,6 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
             accuracy_pct: agg.accuracy() * 100.0,
         });
     }
-    print!("{table}");
+    out!("{table}");
     save(&args.out_dir, "fig12", &rows)
 }

@@ -19,7 +19,7 @@ struct Fig2Row {
 
 /// Runs the experiment and writes `fig2.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
-    println!("== Figure 2: consumers per produced value ==");
+    outln!("== Figure 2: consumers per produced value ==");
     let mut table = Table::with_headers(&["suite", "1", "2", "3", "4", "5", "6+", "(0)"]);
     table.numeric();
     let mut rows = Vec::new();
@@ -51,6 +51,6 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
             zero: f(0) * 100.0,
         });
     }
-    print!("{table}");
+    out!("{table}");
     save(&args.out_dir, "fig2", &rows)
 }

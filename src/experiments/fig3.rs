@@ -17,7 +17,7 @@ struct Fig3Row {
 
 /// Runs the experiment and writes `fig3.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
-    println!("== Figure 3: reuse potential for chain limits 1/2/3/unlimited ==");
+    outln!("== Figure 3: reuse potential for chain limits 1/2/3/unlimited ==");
     let mut table = Table::with_headers(&["kernel", "suite", "<=1", "<=2", "<=3", "unlimited"]);
     table.numeric();
     let mut rows = Vec::new();
@@ -44,6 +44,6 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
             unlimited: vals[3] * 100.0,
         });
     }
-    print!("{table}");
+    out!("{table}");
     save(&args.out_dir, "fig3", &rows)
 }

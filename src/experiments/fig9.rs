@@ -19,7 +19,7 @@ struct Fig9Row {
 
 /// Runs the occupancy sweep and writes `fig9.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
-    println!("== Figure 9: shadow registers needed to cover % of execution (fp suite) ==");
+    outln!("== Figure 9: shadow registers needed to cover % of execution (fp suite) ==");
     // Effectively unbounded shadow banks; sample bank occupancy per cycle.
     let banks = BankConfig::new(vec![64, 48, 48, 48]);
     let config = with_swept_banks(RenamerConfig::baseline(FIXED_RF), RegClass::Fp, banks);
@@ -76,6 +76,6 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
             three_shadow: need(3),
         });
     }
-    print!("{table}");
+    out!("{table}");
     save(&args.out_dir, "fig9", &rows)
 }

@@ -54,7 +54,7 @@ struct HintRow {
 
 /// Runs the hint-policy race and writes `hints.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
-    println!("== Static hints vs dynamic predictor: 3 policies x all kernels ==");
+    outln!("== Static hints vs dynamic predictor: 3 policies x all kernels ==");
     let kernels = all_kernels();
     let rows: Vec<HintRow> = par_map(&kernels, |k| {
         let program = k.program(args.scale);
@@ -134,7 +134,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
             format!("{:.1}", r.dynamic_accuracy_pct),
         ]);
     }
-    print!("{table}");
+    out!("{table}");
 
     // Sanity: DynamicOnly must never take or deny anything on static
     // authority, and static grants must only appear where proofs exist.
@@ -160,7 +160,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
         .zip(rows.chunks(POLICIES.len()))
         .filter(|(_, c)| c[0].unknown_sites_loops < c[0].unknown_sites_base)
         .count();
-    println!(
+    outln!(
         "loop-aware analysis shrank the Unknown class on {improved}/{} kernels",
         kernels.len()
     );

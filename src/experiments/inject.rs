@@ -31,7 +31,7 @@ struct InjectRow {
 
 /// Runs the campaign sweep and writes `inject_report.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
-    println!("== Fault injection: seeded interrupts / faults / flips / squash storms ==");
+    outln!("== Fault injection: seeded interrupts / faults / flips / squash storms ==");
     // Injection stresses recovery paths, not steady-state IPC: modest
     // runs keep a 100+-campaign sweep fast, and the schedule horizon
     // covers the whole run either way.
@@ -102,7 +102,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
     let errors: Vec<String> = runs.iter().filter_map(|(_, e)| e.clone()).collect();
     let rows: Vec<InjectRow> = runs.into_iter().map(|(r, _)| r).collect();
     let sum = |f: fn(&InjectRow) -> u64| rows.iter().map(f).sum::<u64>();
-    println!(
+    outln!(
         "  {} campaigns over {} kernels x {} schemes at scale {scale}: \
          {} events delivered ({} interrupts incl. {} nested, {} load faults, \
          {} store faults, {} branch flips, {} squash storms), {} invariant audits, \

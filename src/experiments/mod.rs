@@ -31,7 +31,7 @@ mod table1;
 mod table2;
 mod table3;
 
-pub use common::{die, flag_value, write_json_atomic, Args, ExpError, RF_SIZES};
+pub use common::{check_stdout, die, flag_value, write_json_atomic, Args, ExpError, RF_SIZES};
 pub use serve::SimExecutor;
 
 /// An experiment entry point. Harness failures (result-file I/O, the

@@ -43,9 +43,12 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
     let plan = args
         .sample_plan(scale)
         .unwrap_or_else(|e| panic!("sample plan: {e}"));
-    println!(
+    outln!(
         "== Sampled IPC (two-speed engine): {} instructions, window {}+{} every {} ==",
-        scale, plan.warmup, plan.measure, plan.period
+        scale,
+        plan.warmup,
+        plan.measure,
+        plan.period
     );
     let mut table = Table::with_headers(&[
         "kernel", "suite", "windows", "base IPC", "±95%", "prop IPC", "±95%", "speedup",
@@ -95,6 +98,6 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
             });
         }
     }
-    print!("{table}");
+    out!("{table}");
     save(&args.out_dir, "sampled", &rows)
 }

@@ -152,7 +152,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
     let server = Server::start(config, Arc::new(SimExecutor)).map_err(|e| ExpError::Serve {
         detail: format!("start service: {e}"),
     })?;
-    println!(
+    outln!(
         "== regshare job service ==\n\
          listening on 127.0.0.1:{} ({workers} workers, state in {data_dir})\n\
          endpoints: POST /jobs, GET /jobs/<id>, GET /healthz, GET /stats, POST /shutdown\n\
@@ -161,6 +161,6 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
         server.recovered_jobs(),
     );
     server.run_until_signalled();
-    println!("drained; journal and cache left in {data_dir}");
+    outln!("drained; journal and cache left in {data_dir}");
     Ok(())
 }

@@ -82,7 +82,7 @@ fn windowed_trace(kernel: &Kernel, rung: u64) -> Vec<Retired> {
 /// Runs the experiment and writes `shape.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
     let ladder = rungs(args.scale);
-    println!(
+    outln!(
         "== Shape stability: fig1/fig3 metrics across scales {:?} ==",
         ladder
     );
@@ -122,6 +122,6 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
             });
         }
     }
-    print!("{table}");
+    out!("{table}");
     save(&args.out_dir, "shape", &rows)
 }

@@ -131,7 +131,7 @@ fn run_point(threads: usize, width: usize, scheme: Scheme, scale: u64) -> (usize
 
 /// Runs the frontier matrix and writes `smt_frontier.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
-    println!("== SMT frontier: threads x width under a shared physical register file ==");
+    outln!("== SMT frontier: threads x width under a shared physical register file ==");
     let mut points = Vec::new();
     for &threads in &THREAD_COUNTS {
         for &width in &WIDTHS {
@@ -188,8 +188,8 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
             format!("{:.1}", r.single_use_fraction * 100.0),
         ]);
     }
-    print!("{table}");
-    println!("verdict: {verdict}");
+    out!("{table}");
+    outln!("verdict: {verdict}");
     let frontier = SmtFrontier {
         scale: args.scale,
         paper_rf_reduction_pct: 10.5,

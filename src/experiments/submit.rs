@@ -66,7 +66,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
         }
     }
 
-    println!(
+    outln!(
         "== submit: {} jobs ({} kernels x 2 schemes x 3 sizes) to 127.0.0.1:{} ==",
         payloads.len(),
         kernels.len(),
@@ -141,7 +141,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
     table.row(vec!["completed+verified".into(), verified.to_string()]);
     table.row(vec!["  of which cached".into(), cached.to_string()]);
     table.row(vec!["dead-lettered".into(), failed.to_string()]);
-    print!("{table}");
+    out!("{table}");
     if failed > 0 {
         for (payload, row) in payloads.iter().zip(&rows_raw) {
             if row.get("status").and_then(Value::as_str) != Some("completed") {
@@ -154,6 +154,6 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
         }
         return Err(serve_err(format!("{failed} job(s) dead-lettered")));
     }
-    println!("all {verified} results byte-identical to direct in-process runs");
+    outln!("all {verified} results byte-identical to direct in-process runs");
     save(&args.out_dir, "submit", &rows)
 }

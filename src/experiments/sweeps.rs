@@ -40,7 +40,7 @@ pub fn fig10ec(args: &Args) -> Result<(), ExpError> {
 }
 
 fn speedup_sweep(args: &Args, name: &str, title: &str, equal_count: bool) -> Result<(), ExpError> {
-    println!("{title}");
+    outln!("{title}");
     // Every (kernel, size) point is independent; fan out across cores
     // and collect rows back in sweep order.
     let points: Vec<(Kernel, usize)> = all_kernels()
@@ -105,6 +105,6 @@ fn speedup_sweep(args: &Args, name: &str, title: &str, equal_count: bool) -> Res
         cells.push(format!("{:.3}", geomean(&vals)));
     }
     table.row(cells);
-    print!("{table}");
+    out!("{table}");
     save(&args.out_dir, name, &rows)
 }

@@ -6,7 +6,7 @@ use crate::stats::Table;
 
 /// Prints the configuration table and writes `table1.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
-    println!("== Table I: system configuration ==");
+    outln!("== Table I: system configuration ==");
     let c = SimConfig::default();
     let mut table = Table::with_headers(&["parameter", "value"]);
     let rows: Vec<(&str, String)> = vec![
@@ -39,7 +39,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
     for (k, v) in &rows {
         table.row(vec![(*k).into(), v.clone()]);
     }
-    print!("{table}");
+    out!("{table}");
     save(
         &args.out_dir,
         "table1",

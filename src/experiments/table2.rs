@@ -7,7 +7,7 @@ use crate::stats::Table;
 
 /// Prints the area table and writes `table2.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
-    println!("== Table II: area of register files and overhead structures ==");
+    outln!("== Table II: area of register files and overhead structures ==");
     let rows = area::table2();
     let mut table = Table::with_headers(&["unit", "configuration", "area (mm^2)"]);
     table.numeric();
@@ -24,6 +24,6 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
         "-".into(),
         format!("{overhead:.3e}"),
     ]);
-    print!("{table}");
+    out!("{table}");
     save(&args.out_dir, "table2", &rows)
 }

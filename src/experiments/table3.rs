@@ -16,7 +16,7 @@ struct Table3Row {
 
 /// Prints the configuration table and writes `table3.json`.
 pub fn run(args: &Args) -> Result<(), ExpError> {
-    println!("== Table III: equal-area register file configurations ==");
+    outln!("== Table III: equal-area register file configurations ==");
     let ports = area::RegFilePorts::default();
     let mut table = Table::with_headers(&["baseline", "paper (0/1/2/3-sh)", "our solver"]);
     let mut rows = Vec::new();
@@ -34,6 +34,6 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
             solver_banks: solved.sizes().to_vec(),
         });
     }
-    print!("{table}");
+    out!("{table}");
     save(&args.out_dir, "table3", &rows)
 }

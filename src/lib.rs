@@ -25,6 +25,26 @@
 //! println!("speedup: {:.3}", prop.ipc() / base.ipc());
 //! ```
 
+/// [`println!`] for the command-line front ends: a write to stdout that
+/// fails ends the process through [`experiments::check_stdout`] (quietly
+/// when the reader closed early) instead of panicking.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        $crate::experiments::check_stdout(writeln!(std::io::stdout().lock(), $($arg)*))
+    }};
+}
+
+/// [`print!`] with the failure handling of [`outln!`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        $crate::experiments::check_stdout(write!(std::io::stdout().lock(), $($arg)*))
+    }};
+}
+
 pub mod alloc_track;
 pub mod experiments;
 

@@ -17,7 +17,8 @@ fn kernel(name: &str) -> Kernel {
 }
 
 /// Each kind of seeded corruption — a leaked physical register, a stale
-/// version tag in the map table, a mapping refcount off by one — must be
+/// version tag in the map table, a mapping refcount off by one, a
+/// speculation grant above a register's current version — must be
 /// detected by the first audit, with a diagnostic naming the violated
 /// invariant and a pipeline snapshot attached.
 #[test]
@@ -26,6 +27,7 @@ fn each_corruption_kind_stops_the_run_with_a_diagnostic() {
         (CorruptKind::LeakPreg, "leak"),
         (CorruptKind::StaleVersionTag, "stale version"),
         (CorruptKind::RefcountOffByOne, "mapping count"),
+        (CorruptKind::SpecGrantAboveVersion, "speculation grant"),
     ];
     let k = kernel("saxpy");
     for (kind, needle) in cases {

@@ -1,6 +1,7 @@
 //! The command-line front ends reject bad input with `error: …` and
 //! exit status 2 before simulating anything, and still run valid input;
-//! `regsim` stops quietly when its reader goes away.
+//! `regsim`, `experiments` and `golden_probe` stop quietly when their
+//! reader goes away.
 
 use regshare::core::BankConfig;
 use regshare::experiments::registry;
@@ -9,6 +10,7 @@ use std::process::{Command, Output};
 
 const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
 const REGSIM: &str = env!("CARGO_BIN_EXE_regsim");
+const GOLDEN_PROBE: &str = env!("CARGO_BIN_EXE_golden_probe");
 
 /// Runs `bin` with `fixed` and then the space-separated words of `flags`.
 fn run(bin: &str, fixed: &[&str], flags: &str) -> Output {
@@ -166,25 +168,31 @@ fn regsim_still_runs_valid_sizes() {
 
 #[test]
 fn regsim_exits_quietly_when_its_reader_closes() {
-    for args in [
-        &[
-            "--kernel", "saxpy", "--scheme", "baseline", "--scale", "2000",
-        ][..],
-        &["--list"],
-    ] {
+    let runs: [(&str, &[&str]); 4] = [
+        (
+            REGSIM,
+            &[
+                "--kernel", "saxpy", "--scheme", "baseline", "--scale", "2000",
+            ],
+        ),
+        (REGSIM, &["--list"]),
+        (EXPERIMENTS, &["--help"]),
+        (GOLDEN_PROBE, &[]),
+    ];
+    for (bin, args) in runs {
         // The read end is gone before the spawn, so the first write
         // fails whatever the timing.
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
-        let out = Command::new(REGSIM)
+        let out = Command::new(bin)
             .args(args)
             .stdout(writer)
             .output()
-            .unwrap_or_else(|e| panic!("spawn {REGSIM}: {e}"));
+            .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
             out.status.code() != Some(101) && stderr.is_empty(),
-            "{args:?}: expected a quiet exit, got {:?}: {stderr}",
+            "{bin} {args:?}: expected a quiet exit, got {:?}: {stderr}",
             out.status.code()
         );
     }
