@@ -52,9 +52,6 @@ pub struct Cfg {
     /// Immediate dominator per block (`None` for the entry block and for
     /// unreachable blocks).
     idom: Vec<Option<usize>>,
-    /// The program contains an indirect jump (`jalr`), whose successors
-    /// are conservatively every block.
-    has_indirect: bool,
 }
 
 /// True when the opcode carries a *direct* branch target the CFG can
@@ -130,7 +127,6 @@ impl Cfg {
             block_of[block.start..block.end].fill(b);
         }
 
-        let has_indirect = insts.iter().any(|i| i.opcode == Opcode::Jalr);
         let num_blocks = blocks.len();
         for block in &mut blocks {
             let last = block.last();
@@ -202,7 +198,6 @@ impl Cfg {
             can_reach_exit,
             can_reach_halt,
             idom: Vec::new(),
-            has_indirect,
         };
         cfg.idom = cfg.compute_idoms();
         cfg
@@ -237,11 +232,6 @@ impl Cfg {
     /// True when some path from block `b` reaches a `halt`.
     pub fn can_reach_halt(&self, b: usize) -> bool {
         self.can_reach_halt[b]
-    }
-
-    /// The program contains an indirect jump (`jalr`).
-    pub fn has_indirect(&self) -> bool {
-        self.has_indirect
     }
 
     /// True when the CFG edge `from → to` is a loop back edge (the
@@ -486,7 +476,6 @@ mod tests {
             halt(),
         ];
         let cfg = Cfg::build(&insts, 0);
-        assert!(cfg.has_indirect());
         assert_eq!(cfg.blocks()[0].succs.len(), cfg.blocks().len());
         assert!((0..cfg.blocks().len()).all(|b| cfg.is_reachable(b)));
     }

@@ -3,10 +3,7 @@
 //! sharing-table occupancy argument.
 
 use crate::cfg::Cfg;
-use crate::dataflow::{
-    split_transfer, use_counts_pinned, use_counts_split, Analysis, DefSite, UseCounts, MIN_SAT,
-};
-use crate::memdis::dead_stores;
+use crate::dataflow::{split_transfer, use_counts_split, DefSite, MIN_SAT};
 use crate::regset::reg_bit;
 use regshare_isa::Inst;
 
@@ -102,61 +99,29 @@ impl Classification {
 }
 
 /// Classifies every definition site in the reachable part of the
-/// program. Unreachable code never executes, so its sites carry no
-/// dynamic weight and are excluded (the linter reports them separately).
+/// program by the bounds that hold over all of a value's futures: the
+/// loop-split classification ([`classify_with_loops`]) with its two
+/// refined classes, [`SiteClass::AtMostOnce`] and
+/// [`SiteClass::NeverSingle`], reported as [`SiteClass::Unknown`]. The
+/// static oracle's bounds and the hint census's baseline column are this
+/// view. Unreachable code never executes, so its sites carry no dynamic
+/// weight and are excluded (the linter reports them separately).
 pub fn classify(cfg: &Cfg, insts: &[Inst]) -> Classification {
-    let facts = use_counts_pinned(cfg, insts);
-    let mut sites = Vec::new();
-    for (b, block) in cfg.blocks().iter().enumerate() {
-        if !cfg.is_reachable(b) {
-            continue;
+    let mut c = classify_with_loops(cfg, insts);
+    for s in &mut c.sites {
+        if matches!(s.class, SiteClass::AtMostOnce | SiteClass::NeverSingle) {
+            s.class = SiteClass::Unknown;
         }
-        let mut fact = facts.input[b].clone();
-        // Walk backward; before transferring instruction `pc` the fact
-        // describes the future of values live *after* `pc` — exactly the
-        // consumer counts of anything `pc` defines.
-        let mut block_sites = Vec::new();
-        for pc in (block.start..block.end).rev() {
-            for (slot, reg) in insts[pc].defs() {
-                let c = fact.0[reg_bit(reg)];
-                let min = c.min.min(MIN_SAT);
-                let max = c.max;
-                let class = if max == 0 {
-                    SiteClass::Dead
-                } else if min >= 2 {
-                    SiteClass::MultiConsumer
-                } else if min == 1 && max == 1 {
-                    if c.redefining {
-                        SiteClass::SingleSafeReuse
-                    } else {
-                        SiteClass::SingleNeedsPredictor
-                    }
-                } else {
-                    SiteClass::Unknown
-                };
-                block_sites.push(ClassifiedSite {
-                    site: DefSite { pc, slot, reg },
-                    class,
-                    min_consumers: min,
-                    max_consumers: max,
-                });
-            }
-            UseCounts.transfer(pc, &insts[pc], &mut fact);
-        }
-        block_sites.reverse();
-        sites.extend(block_sites);
     }
-    sites.sort_by_key(|s| (s.site.pc, s.site.slot));
-    Classification { sites }
+    c
 }
 
 /// Classifies every reachable definition site using the loop-split
-/// consumer analysis ([`use_counts_split`]). This is the deepened PR 7
-/// classifier: in addition to everything [`classify`] proves, the
-/// per-context bounds recover [`SiteClass::AtMostOnce`] and
-/// [`SiteClass::NeverSingle`] proofs on loop-carried definitions that
-/// the joined analysis saturates to `Unknown`. [`classify`] itself is
-/// kept frozen as the PR 2 baseline the static oracle pins.
+/// consumer analysis ([`use_counts_split`]). Its overall bounds are the
+/// join of the two loop contexts; the per-context bounds additionally
+/// recover [`SiteClass::AtMostOnce`] and [`SiteClass::NeverSingle`]
+/// proofs on loop-carried definitions that the join saturates to
+/// `Unknown`.
 pub fn classify_with_loops(cfg: &Cfg, insts: &[Inst]) -> Classification {
     let facts = use_counts_split(cfg, insts);
     let mut sites = Vec::new();
@@ -211,46 +176,6 @@ pub fn classify_with_loops(cfg: &Cfg, insts: &[Inst]) -> Classification {
     }
     sites.sort_by_key(|s| (s.site.pc, s.site.slot));
     Classification { sites }
-}
-
-/// Fate of a reachable store under the conservative store/load
-/// disambiguation pass ([`crate::memdis`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StoreFate {
-    /// Every stored byte is provably overwritten before any load could
-    /// observe it — the store is dead.
-    Overwritten,
-    /// The store may be observed (by a later load, another block, or
-    /// the program's consumer — memory is program output).
-    Observable,
-}
-
-/// A classified store instruction.
-#[derive(Debug, Clone, Copy)]
-pub struct ClassifiedStore {
-    /// Instruction index of the store.
-    pub pc: usize,
-    /// What the disambiguation pass proved about it.
-    pub fate: StoreFate,
-}
-
-/// Classifies every reachable store by whether the disambiguation pass
-/// proves it dead, in pc order.
-pub fn classify_stores(cfg: &Cfg, insts: &[Inst]) -> Vec<ClassifiedStore> {
-    let dead = dead_stores(cfg, insts);
-    insts
-        .iter()
-        .enumerate()
-        .filter(|(pc, inst)| inst.opcode.is_store() && cfg.is_reachable(cfg.block_of(*pc)))
-        .map(|(pc, _)| ClassifiedStore {
-            pc,
-            fate: if dead.binary_search(&pc).is_ok() {
-                StoreFate::Overwritten
-            } else {
-                StoreFate::Observable
-            },
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -470,21 +395,5 @@ mod tests {
             assert_eq!(a.min_consumers, b.min_consumers);
             assert_eq!(a.max_consumers, b.max_consumers);
         }
-    }
-
-    #[test]
-    fn classify_stores_reports_overwritten() {
-        let insts = vec![
-            Inst::ri(Opcode::Li, reg::x(1), 0x1000),
-            Inst::store(Opcode::St, reg::x(2), reg::x(1), 0),
-            Inst::store(Opcode::St, reg::x(3), reg::x(1), 0),
-            Inst::bare(Opcode::Halt),
-        ];
-        let cfg = Cfg::build(&insts, 0);
-        let stores = classify_stores(&cfg, &insts);
-        assert_eq!(stores.len(), 2);
-        assert_eq!(stores[0].pc, 1);
-        assert_eq!(stores[0].fate, StoreFate::Overwritten);
-        assert_eq!(stores[1].fate, StoreFate::Observable);
     }
 }

@@ -1,55 +1,14 @@
-//! Worklist dataflow framework plus the concrete analyses the classifier
-//! and linter consume: liveness, reaching definitions (def-use chains),
-//! maybe-uninitialized registers, and the per-register consumer-count
+//! The dataflow analyses the linter and the classifier read: the
+//! maybe-uninitialized registers, and the loop-split consumer-count
 //! analysis behind the static sharing bounds.
 
 use crate::cfg::Cfg;
 use crate::regset::{reg_bit, RegSet, NUM_REGS};
 use regshare_isa::{ArchReg, DefSlot, Inst};
 
-/// A distributive analysis over basic blocks.
-///
-/// The solvers ([`solve_forward`], [`solve_backward`]) run the classic
-/// worklist iteration: facts start at the analysis' most optimistic value
-/// ([`Analysis::top`]), block inputs join facts flowing along CFG edges,
-/// and blocks are re-evaluated until nothing changes. Termination follows
-/// from finite fact lattices and monotone transfer functions — every
-/// analysis in this module saturates its counters.
-pub trait Analysis {
-    /// The fact attached to each program point.
-    type Fact: Clone + PartialEq;
-
-    /// The most optimistic fact (identity of [`Analysis::join`]); every
-    /// block boundary starts here.
-    fn top(&self) -> Self::Fact;
-
-    /// The fact at the program boundary: entry (forward analyses) or
-    /// exit, i.e. `halt` / fall-off (backward analyses).
-    fn boundary(&self) -> Self::Fact;
-
-    /// Combines facts arriving over multiple CFG edges.
-    fn join(&self, into: &mut Self::Fact, other: &Self::Fact);
-
-    /// Transfers a fact across one instruction, in the analysis
-    /// direction (the solver feeds instructions in the right order).
-    fn transfer(&self, pc: usize, inst: &Inst, fact: &mut Self::Fact);
-
-    /// Backward analyses only: treat block `b` as flowing the boundary
-    /// fact in addition to its successors. The default covers blocks
-    /// from which execution can leave the program directly; *must*
-    /// analyses (like the minimum consumer count) override this to also
-    /// pin blocks that can never reach an exit, which would otherwise
-    /// keep the unsound optimistic `top`.
-    fn is_virtual_exit(&self, cfg: &Cfg, b: usize) -> bool {
-        let block = &cfg.blocks()[b];
-        block.halts || block.falls_off
-    }
-}
-
-/// Per-block input/output facts produced by a solver. For a forward
-/// analysis `input` holds the fact before `start` and `output` after
-/// `end`; for a backward analysis `input` is the fact *after* the block's
-/// last instruction and `output` the fact before `start`.
+/// Per-block input/output facts of the backward consumer-count solver:
+/// `input` is the fact *after* the block's last instruction and `output`
+/// the fact before its first.
 #[derive(Debug, Clone)]
 pub struct BlockFacts<F> {
     /// Fact flowing into each block (in analysis direction).
@@ -58,12 +17,26 @@ pub struct BlockFacts<F> {
     pub output: Vec<F>,
 }
 
-/// Solves a forward analysis to fixpoint.
-pub fn solve_forward<A: Analysis>(cfg: &Cfg, insts: &[Inst], a: &A) -> BlockFacts<A::Fact> {
-    let n = cfg.blocks().len();
-    let mut input = vec![a.top(); n];
-    let mut output = vec![a.top(); n];
-    input[cfg.entry_block()] = a.boundary();
+// ------------------------------------------------- maybe-uninitialized
+
+/// For every reachable instruction, the registers it reads that may
+/// still be unwritten, as `(pc, reg)` pairs in program order.
+///
+/// A forward may-analysis solved by the classic worklist iteration: a
+/// register is possibly unwritten at a point when some path from the
+/// entry reaches it without a write. The machine zero-initializes its
+/// register files, so a hit is a lint finding rather than undefined
+/// behavior.
+pub fn uninit_reads(cfg: &Cfg, insts: &[Inst]) -> Vec<(usize, ArchReg)> {
+    let kill = |fact: &mut RegSet, inst: &Inst| {
+        for (_, d) in inst.defs() {
+            fact.remove(d);
+        }
+    };
+    let blocks = cfg.blocks();
+    let n = blocks.len();
+    let mut input = vec![RegSet::EMPTY; n];
+    let mut output = vec![RegSet::EMPTY; n];
     let mut work: Vec<usize> = cfg.reverse_postorder();
     let mut queued = vec![false; n];
     for &b in &work {
@@ -72,22 +45,24 @@ pub fn solve_forward<A: Analysis>(cfg: &Cfg, insts: &[Inst], a: &A) -> BlockFact
     work.reverse(); // treat as a stack: pop from the back in RPO order
     while let Some(b) = work.pop() {
         queued[b] = false;
+        // Every register starts unwritten at the entry. The zero
+        // register's bit is included but harmless: no `uses()` ever
+        // yields it.
         let mut fact = if b == cfg.entry_block() {
-            a.boundary()
+            RegSet::ALL
         } else {
-            a.top()
+            RegSet::EMPTY
         };
-        for &p in &cfg.blocks()[b].preds {
-            a.join(&mut fact, &output[p]);
+        for &p in &blocks[b].preds {
+            fact = fact.union(output[p]);
         }
-        input[b] = fact.clone();
-        let block = &cfg.blocks()[b];
-        for (off, inst) in insts[block.start..block.end].iter().enumerate() {
-            a.transfer(block.start + off, inst, &mut fact);
+        input[b] = fact;
+        for inst in &insts[blocks[b].start..blocks[b].end] {
+            kill(&mut fact, inst);
         }
         if fact != output[b] {
             output[b] = fact;
-            for &s in &cfg.blocks()[b].succs {
+            for &s in &blocks[b].succs {
                 if !queued[s] {
                     queued[s] = true;
                     work.push(s);
@@ -95,122 +70,12 @@ pub fn solve_forward<A: Analysis>(cfg: &Cfg, insts: &[Inst], a: &A) -> BlockFact
             }
         }
     }
-    BlockFacts { input, output }
-}
-
-/// Solves a backward analysis to fixpoint.
-pub fn solve_backward<A: Analysis>(cfg: &Cfg, insts: &[Inst], a: &A) -> BlockFacts<A::Fact> {
-    let n = cfg.blocks().len();
-    let mut input = vec![a.top(); n];
-    let mut output = vec![a.top(); n];
-    let mut work: Vec<usize> = (0..n).collect();
-    let mut queued = vec![true; n];
-    while let Some(b) = work.pop() {
-        queued[b] = false;
-        let mut fact = a.top();
-        if a.is_virtual_exit(cfg, b) {
-            a.join(&mut fact, &a.boundary());
-        }
-        for &s in &cfg.blocks()[b].succs {
-            a.join(&mut fact, &output[s]);
-        }
-        input[b] = fact.clone();
-        for pc in (cfg.blocks()[b].start..cfg.blocks()[b].end).rev() {
-            a.transfer(pc, &insts[pc], &mut fact);
-        }
-        if fact != output[b] {
-            output[b] = fact;
-            for &p in &cfg.blocks()[b].preds {
-                if !queued[p] {
-                    queued[p] = true;
-                    work.push(p);
-                }
-            }
-        }
-    }
-    BlockFacts { input, output }
-}
-
-// ------------------------------------------------------------- liveness
-
-/// Classic backward liveness: which registers may be read before being
-/// redefined.
-pub struct Liveness;
-
-impl Analysis for Liveness {
-    type Fact = RegSet;
-
-    fn top(&self) -> RegSet {
-        RegSet::EMPTY
-    }
-
-    fn boundary(&self) -> RegSet {
-        RegSet::EMPTY
-    }
-
-    fn join(&self, into: &mut RegSet, other: &RegSet) {
-        *into = into.union(*other);
-    }
-
-    fn transfer(&self, _pc: usize, inst: &Inst, fact: &mut RegSet) {
-        for (_, d) in inst.defs() {
-            fact.remove(d);
-        }
-        for u in inst.uses() {
-            fact.insert(u);
-        }
-    }
-}
-
-/// Computes live-in / live-out per block.
-pub fn liveness(cfg: &Cfg, insts: &[Inst]) -> BlockFacts<RegSet> {
-    solve_backward(cfg, insts, &Liveness)
-}
-
-// ------------------------------------------------- maybe-uninitialized
-
-/// Forward may-analysis of registers possibly read before any write on
-/// some path from the entry. The machine zero-initializes its register
-/// files, so a hit is a lint finding rather than undefined behavior.
-pub struct MaybeUninit;
-
-impl Analysis for MaybeUninit {
-    type Fact = RegSet;
-
-    fn top(&self) -> RegSet {
-        RegSet::EMPTY
-    }
-
-    fn boundary(&self) -> RegSet {
-        // Every register starts unwritten at the entry. The zero
-        // register's bit is included but harmless: no `uses()` ever
-        // yields it.
-        RegSet::ALL
-    }
-
-    fn join(&self, into: &mut RegSet, other: &RegSet) {
-        *into = into.union(*other);
-    }
-
-    fn transfer(&self, _pc: usize, inst: &Inst, fact: &mut RegSet) {
-        // Uses are observed by the linter separately; the transfer only
-        // kills definedness.
-        for (_, d) in inst.defs() {
-            fact.remove(d);
-        }
-    }
-}
-
-/// For every reachable instruction, the registers it reads that may
-/// still be unwritten, as `(pc, reg)` pairs in program order.
-pub fn uninit_reads(cfg: &Cfg, insts: &[Inst]) -> Vec<(usize, ArchReg)> {
-    let facts = solve_forward(cfg, insts, &MaybeUninit);
     let mut hits = Vec::new();
-    for (b, block) in cfg.blocks().iter().enumerate() {
+    for (b, block) in blocks.iter().enumerate() {
         if !cfg.is_reachable(b) {
             continue;
         }
-        let mut fact = facts.input[b];
+        let mut fact = input[b];
         for (off, inst) in insts[block.start..block.end].iter().enumerate() {
             let pc = block.start + off;
             for u in inst.uses() {
@@ -218,14 +83,12 @@ pub fn uninit_reads(cfg: &Cfg, insts: &[Inst]) -> Vec<(usize, ArchReg)> {
                     hits.push((pc, u));
                 }
             }
-            MaybeUninit.transfer(pc, inst, &mut fact);
+            kill(&mut fact, inst);
         }
     }
     hits.sort_unstable();
     hits
 }
-
-// ------------------------------------------------ reaching definitions
 
 /// A static definition site: an instruction and the destination slot it
 /// writes through.
@@ -239,148 +102,7 @@ pub struct DefSite {
     pub reg: ArchReg,
 }
 
-/// A set of definition sites, one bit per site id.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SiteSet(Vec<u64>);
-
-impl SiteSet {
-    fn empty(n: usize) -> Self {
-        SiteSet(vec![0; n.div_ceil(64)])
-    }
-
-    fn insert(&mut self, id: usize) {
-        self.0[id / 64] |= 1 << (id % 64);
-    }
-
-    fn remove_all(&mut self, ids: &[usize]) {
-        for &id in ids {
-            self.0[id / 64] &= !(1 << (id % 64));
-        }
-    }
-
-    fn union(&mut self, other: &SiteSet) {
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a |= b;
-        }
-    }
-
-    /// Iterates the member ids in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.iter().enumerate().flat_map(|(w, &bits)| {
-            let mut bits = bits;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(w * 64 + b)
-            })
-        })
-    }
-}
-
-/// Reaching definitions and the static def-use chains they induce.
-pub struct DefUse {
-    /// Every definition site in the program, in `(pc, slot)` order.
-    pub sites: Vec<DefSite>,
-    /// For each site id: the instruction indices (reachable ones only)
-    /// that may consume the value, in program order.
-    pub consumers: Vec<Vec<usize>>,
-    /// For each reachable use `(pc, reg)`, the site ids that may reach
-    /// it, in site order.
-    pub reaching: Vec<((usize, ArchReg), Vec<usize>)>,
-}
-
-struct ReachingDefs<'a> {
-    num_sites: usize,
-    /// Site ids defined by each instruction.
-    sites_at: &'a [Vec<usize>],
-    /// For each register bit: the ids of all sites defining it (the kill
-    /// set of a definition).
-    sites_of_reg: &'a [Vec<usize>; NUM_REGS],
-    insts_len: usize,
-}
-
-impl Analysis for ReachingDefs<'_> {
-    type Fact = SiteSet;
-
-    fn top(&self) -> SiteSet {
-        SiteSet::empty(self.num_sites)
-    }
-
-    fn boundary(&self) -> SiteSet {
-        SiteSet::empty(self.num_sites)
-    }
-
-    fn join(&self, into: &mut SiteSet, other: &SiteSet) {
-        into.union(other);
-    }
-
-    fn transfer(&self, pc: usize, inst: &Inst, fact: &mut SiteSet) {
-        debug_assert!(pc < self.insts_len);
-        for (_, d) in inst.defs() {
-            fact.remove_all(&self.sites_of_reg[reg_bit(d)]);
-        }
-        for &id in &self.sites_at[pc] {
-            fact.insert(id);
-        }
-    }
-}
-
-/// Computes reaching definitions and derives static def-use chains over
-/// the reachable part of the program.
-pub fn def_use(cfg: &Cfg, insts: &[Inst]) -> DefUse {
-    let mut sites: Vec<DefSite> = Vec::new();
-    let mut sites_at: Vec<Vec<usize>> = vec![Vec::new(); insts.len()];
-    let mut sites_of_reg: [Vec<usize>; NUM_REGS] = std::array::from_fn(|_| Vec::new());
-    for (pc, inst) in insts.iter().enumerate() {
-        for (slot, reg) in inst.defs() {
-            let id = sites.len();
-            sites.push(DefSite { pc, slot, reg });
-            sites_at[pc].push(id);
-            sites_of_reg[reg_bit(reg)].push(id);
-        }
-    }
-    let analysis = ReachingDefs {
-        num_sites: sites.len(),
-        sites_at: &sites_at,
-        sites_of_reg: &sites_of_reg,
-        insts_len: insts.len(),
-    };
-    let facts = solve_forward(cfg, insts, &analysis);
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); sites.len()];
-    let mut reaching: Vec<((usize, ArchReg), Vec<usize>)> = Vec::new();
-    for (b, block) in cfg.blocks().iter().enumerate() {
-        if !cfg.is_reachable(b) {
-            continue;
-        }
-        let mut fact = facts.input[b].clone();
-        for (off, inst) in insts[block.start..block.end].iter().enumerate() {
-            let pc = block.start + off;
-            for u in inst.uses() {
-                let ids: Vec<usize> = fact.iter().filter(|&id| sites[id].reg == u).collect();
-                for &id in &ids {
-                    consumers[id].push(pc);
-                }
-                reaching.push(((pc, u), ids));
-            }
-            analysis.transfer(pc, inst, &mut fact);
-        }
-    }
-    for c in &mut consumers {
-        c.sort_unstable();
-        c.dedup();
-    }
-    reaching.sort_unstable_by_key(|(k, _)| *k);
-    DefUse {
-        sites,
-        consumers,
-        reaching,
-    }
-}
-
-// ------------------------------------------- consumer-count analysis
+// ------------------------------------------- consumer-count facts
 
 /// Minimum consumer count saturation: 2 proves "never exactly one".
 pub const MIN_SAT: u8 = 2;
@@ -406,147 +128,62 @@ pub struct RegCount {
     pub redefining: bool,
 }
 
-/// The consumer-count fact: one [`RegCount`] per register bit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountFact(pub [RegCount; NUM_REGS]);
-
-/// Backward analysis computing [`CountFact`]s. Must/may components are
-/// solved simultaneously: `min` descends from [`MIN_UNKNOWN`] (a must
-/// analysis), `max` ascends from 0 (a may analysis), `redefining`
-/// descends from `true`. Blocks that cannot reach the program exit are
-/// treated as virtual exits so the must components stay sound (a value
-/// consumed once before entering an endless loop must not be classified
-/// as multi-consumer).
-pub struct UseCounts;
-
-impl Analysis for UseCounts {
-    type Fact = CountFact;
-
-    fn top(&self) -> CountFact {
-        CountFact(
-            [RegCount {
-                min: MIN_UNKNOWN,
-                max: 0,
-                redefining: true,
-            }; NUM_REGS],
-        )
-    }
-
-    fn boundary(&self) -> CountFact {
-        CountFact(
-            [RegCount {
-                min: 0,
-                max: 0,
-                redefining: true,
-            }; NUM_REGS],
-        )
-    }
-
-    fn join(&self, into: &mut CountFact, other: &CountFact) {
-        for (a, b) in into.0.iter_mut().zip(&other.0) {
-            a.min = a.min.min(b.min);
-            a.max = a.max.max(b.max);
-            a.redefining &= b.redefining;
-        }
-    }
-
-    fn transfer(&self, _pc: usize, inst: &Inst, fact: &mut CountFact) {
-        let mut defines = RegSet::EMPTY;
-        for (_, d) in inst.defs() {
-            defines.insert(d);
-        }
-        for u in inst.uses() {
-            let c = &mut fact.0[reg_bit(u)];
-            let redefined = defines.contains(u);
-            // This instruction reads the current value; counts restart
-            // behind a redefinition, otherwise accumulate saturating.
-            if redefined {
-                *c = RegCount {
-                    min: 1,
-                    max: 1,
-                    redefining: true,
-                };
-            } else {
-                c.min = if c.min == MIN_UNKNOWN {
-                    MIN_UNKNOWN
-                } else {
-                    (c.min + 1).min(MIN_SAT)
-                };
-                c.max = (c.max + 1).min(MAX_SAT);
-                c.redefining = false;
-            }
-        }
-        for d in defines.iter() {
-            if inst.uses().any(|u| u == d) {
-                continue; // handled above: read then redefined
-            }
-            fact.0[reg_bit(d)] = RegCount {
-                min: 0,
-                max: 0,
-                redefining: true,
-            };
-        }
-    }
-}
-
-impl Analysis for UseCountsWithPin<'_> {
-    type Fact = CountFact;
-
-    fn top(&self) -> CountFact {
-        UseCounts.top()
-    }
-
-    fn boundary(&self) -> CountFact {
-        UseCounts.boundary()
-    }
-
-    fn join(&self, into: &mut CountFact, other: &CountFact) {
-        UseCounts.join(into, other)
-    }
-
-    fn transfer(&self, pc: usize, inst: &Inst, fact: &mut CountFact) {
-        UseCounts.transfer(pc, inst, fact)
-    }
-
-    fn is_virtual_exit(&self, cfg: &Cfg, b: usize) -> bool {
-        let block = &cfg.blocks()[b];
-        block.halts || block.falls_off || !cfg.can_reach_exit(b)
-    }
-}
-
-/// [`UseCounts`] with the no-exit pinning described on the type; used by
-/// the classifier.
-pub struct UseCountsWithPin<'a> {
-    /// The CFG the pinning consults (kept for clarity; the solver passes
-    /// the same one).
-    pub cfg: &'a Cfg,
-}
-
-/// Solves the pinned consumer-count analysis the classifier uses.
-pub fn use_counts_pinned(cfg: &Cfg, insts: &[Inst]) -> BlockFacts<CountFact> {
-    solve_backward(cfg, insts, &UseCountsWithPin { cfg })
-}
-
-// ------------------------------------ loop-split consumer counts
-
-/// The `top` (vacuous, join-identity) per-register count.
+/// The `top` (vacuous, join-identity) per-register count: `min` descends
+/// from [`MIN_UNKNOWN`] (a must bound), `max` ascends from 0 (a may
+/// bound), `redefining` descends from `true`.
 pub const TOP_COUNT: RegCount = RegCount {
     min: MIN_UNKNOWN,
     max: 0,
     redefining: true,
 };
 
+/// The count of a value that dies here: it is never read again.
+const DEAD_COUNT: RegCount = RegCount {
+    min: 0,
+    max: 0,
+    redefining: true,
+};
+
+/// The consumer-count fact: one [`RegCount`] per register bit.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CountFact(pub [RegCount; NUM_REGS]);
+
+impl CountFact {
+    /// The most optimistic fact, the identity of [`CountFact::join`].
+    pub fn top() -> CountFact {
+        CountFact([TOP_COUNT; NUM_REGS])
+    }
+
+    /// The fact at a program exit (`halt` or fall-off): no value is
+    /// read again.
+    pub fn boundary() -> CountFact {
+        CountFact([DEAD_COUNT; NUM_REGS])
+    }
+
+    /// Joins the futures of `other` into `self`.
+    pub fn join(&mut self, other: &CountFact) {
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            a.min = a.min.min(b.min);
+            a.max = a.max.max(b.max);
+            a.redefining &= b.redefining;
+        }
+    }
+}
+
+// ------------------------------------ loop-split consumer counts
+
 /// [`CountFact`] split by loop context. `exit` bounds the consumer
 /// count over futures in which the value dies (is redefined, or the
 /// program exits) without ever crossing a loop back edge — the
 /// final-iteration context. `carried` bounds futures whose value stays
 /// live across at least one back edge — the loop-carried context. The
-/// two components partition every real future exactly, which is what
-/// lets the classifier prove facts like "never exactly one consumer"
-/// (`exit` shows zero, `carried` shows at least two) that the joined
-/// [`UseCounts`] analysis saturates to `Unknown`. This is the backward
-/// mirror of first-iteration peeling: instead of peeling the entry into
-/// the loop, it peels the exit out of it.
+/// two components partition every real future exactly, so their join is
+/// the plain consumer-count fact over all futures, and they let the
+/// classifier prove facts like "never exactly one consumer" (`exit`
+/// shows zero, `carried` shows at least two) that the join saturates to
+/// `Unknown`. This is the backward mirror of first-iteration peeling:
+/// instead of peeling the entry into the loop, it peels the exit out of
+/// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitFact {
     /// Bounds over futures that never cross a back edge.
@@ -559,8 +196,8 @@ pub struct SplitFact {
 impl SplitFact {
     fn top() -> SplitFact {
         SplitFact {
-            exit: UseCounts.top(),
-            carried: UseCounts.top(),
+            exit: CountFact::top(),
+            carried: CountFact::top(),
         }
     }
 }
@@ -602,11 +239,7 @@ pub fn split_transfer(inst: &Inst, fact: &mut SplitFact) {
         if inst.uses().any(|u| u == d) {
             continue; // read-then-redefine, handled above
         }
-        fact.exit.0[reg_bit(d)] = RegCount {
-            min: 0,
-            max: 0,
-            redefining: true,
-        };
+        fact.exit.0[reg_bit(d)] = DEAD_COUNT;
         fact.carried.0[reg_bit(d)] = TOP_COUNT;
     }
 }
@@ -616,9 +249,11 @@ pub fn split_transfer(inst: &Inst, fact: &mut SplitFact) {
 /// backward over a detected back edge moves wholesale into the
 /// `carried` component (whatever happens beyond that edge, the value
 /// was live across it), while normal edges join componentwise. Exit
-/// boundaries — real and the same no-exit pinning as
-/// [`UseCountsWithPin`] — feed only the `exit` component: a dead value
-/// crossed no further edges. Vacuous components are the join identity
+/// boundaries feed only the `exit` component: a dead value crossed no
+/// further edges. Blocks that cannot reach the program exit count as
+/// exits too, so the must components stay sound (a value consumed once
+/// before entering an endless loop must not be classified as
+/// multi-consumer). Vacuous components are the join identity
 /// (`min` stays [`MIN_UNKNOWN`], `max` stays 0), so an undetected back
 /// edge or an unreachable context can only blur bounds toward
 /// `Unknown`, never sharpen them.
@@ -626,32 +261,31 @@ pub fn use_counts_split(cfg: &Cfg, insts: &[Inst]) -> BlockFacts<SplitFact> {
     let n = cfg.blocks().len();
     let mut input = vec![SplitFact::top(); n];
     let mut output = vec![SplitFact::top(); n];
-    let pin = UseCountsWithPin { cfg };
     let mut work: Vec<usize> = (0..n).collect();
     let mut queued = vec![true; n];
     while let Some(b) = work.pop() {
         queued[b] = false;
         let mut fact = SplitFact::top();
-        if pin.is_virtual_exit(cfg, b) {
-            UseCounts.join(&mut fact.exit, &UseCounts.boundary());
+        let block = &cfg.blocks()[b];
+        if block.halts || block.falls_off || !cfg.can_reach_exit(b) {
+            fact.exit.join(&CountFact::boundary());
         }
-        for &s in &cfg.blocks()[b].succs {
+        for &s in &block.succs {
             if cfg.is_back_edge(b, s) {
-                let mut over = output[s].exit.clone();
-                UseCounts.join(&mut over, &output[s].carried);
-                UseCounts.join(&mut fact.carried, &over);
+                fact.carried.join(&output[s].exit);
+                fact.carried.join(&output[s].carried);
             } else {
-                UseCounts.join(&mut fact.exit, &output[s].exit);
-                UseCounts.join(&mut fact.carried, &output[s].carried);
+                fact.exit.join(&output[s].exit);
+                fact.carried.join(&output[s].carried);
             }
         }
         input[b] = fact.clone();
-        for pc in (cfg.blocks()[b].start..cfg.blocks()[b].end).rev() {
-            split_transfer(&insts[pc], &mut fact);
+        for inst in insts[block.start..block.end].iter().rev() {
+            split_transfer(inst, &mut fact);
         }
         if fact != output[b] {
             output[b] = fact;
-            for &p in &cfg.blocks()[b].preds {
+            for &p in &block.preds {
                 if !queued[p] {
                     queued[p] = true;
                     work.push(p);
@@ -669,27 +303,6 @@ mod tests {
 
     fn cfg_of(insts: &[Inst]) -> Cfg {
         Cfg::build(insts, 0)
-    }
-
-    #[test]
-    fn liveness_across_a_branch() {
-        // 0: li x1, 1
-        // 1: beq x2, xzr, @3   (x2 live-in of the program)
-        // 2: add x3, x1, x1
-        // 3: halt
-        let insts = vec![
-            Inst::ri(Opcode::Li, reg::x(1), 1),
-            Inst::branch(Opcode::Beq, reg::x(2), reg::zero(), 3),
-            Inst::rrr(Opcode::Add, reg::x(3), reg::x(1), reg::x(1)),
-            Inst::bare(Opcode::Halt),
-        ];
-        let cfg = cfg_of(&insts);
-        let live = liveness(&cfg, &insts);
-        let entry = cfg.block_of(0);
-        // x2 is read before any write: live into the entry block. x1 is
-        // defined first, so not live-in.
-        assert!(live.output[entry].contains(reg::x(2)));
-        assert!(!live.output[entry].contains(reg::x(1)));
     }
 
     #[test]
@@ -719,54 +332,16 @@ mod tests {
         assert_eq!(hits, vec![(2, reg::x(1))]);
     }
 
-    #[test]
-    fn def_use_chains_straight_line() {
-        // 0: li x1, 1 ; 1: add x2, x1, x1 ; 2: add x3, x1, x2 ; 3: halt
-        let insts = vec![
-            Inst::ri(Opcode::Li, reg::x(1), 1),
-            Inst::rrr(Opcode::Add, reg::x(2), reg::x(1), reg::x(1)),
-            Inst::rrr(Opcode::Add, reg::x(3), reg::x(1), reg::x(2)),
-            Inst::bare(Opcode::Halt),
-        ];
-        let cfg = cfg_of(&insts);
-        let du = def_use(&cfg, &insts);
-        assert_eq!(du.sites.len(), 3);
-        let li = du.sites.iter().position(|s| s.pc == 0).unwrap();
-        // x1's value is consumed by instructions 1 and 2 (once each,
-        // duplicates deduplicated).
-        assert_eq!(du.consumers[li], vec![1, 2]);
-        let add2 = du.sites.iter().position(|s| s.pc == 1).unwrap();
-        assert_eq!(du.consumers[add2], vec![2]);
+    /// The plain consumer-count bounds over all futures: the join of the
+    /// two loop contexts.
+    fn joined(f: &SplitFact, r: ArchReg) -> RegCount {
+        let mut all = f.exit.clone();
+        all.join(&f.carried);
+        all.0[reg_bit(r)]
     }
 
     #[test]
-    fn reaching_defs_merge_at_join_points() {
-        // 0: beq xzr, xzr, @2 ; 1: li x1, 1 ; 2: li x1, 2 — wait, make
-        // two defs on distinct paths converging on one use.
-        // 0: li x1, 1
-        // 1: beq xzr, xzr, @3
-        // 2: li x1, 2
-        // 3: add x2, x1, xzr
-        // 4: halt
-        let insts = vec![
-            Inst::ri(Opcode::Li, reg::x(1), 1),
-            Inst::branch(Opcode::Beq, reg::zero(), reg::zero(), 3),
-            Inst::ri(Opcode::Li, reg::x(1), 2),
-            Inst::rrr(Opcode::Add, reg::x(2), reg::x(1), reg::zero()),
-            Inst::bare(Opcode::Halt),
-        ];
-        let cfg = cfg_of(&insts);
-        let du = def_use(&cfg, &insts);
-        let use_entry = du
-            .reaching
-            .iter()
-            .find(|((pc, r), _)| *pc == 3 && *r == reg::x(1))
-            .expect("use recorded");
-        assert_eq!(use_entry.1.len(), 2, "both definitions reach the join");
-    }
-
-    #[test]
-    fn use_counts_classify_straight_line() {
+    fn use_counts_straight_line() {
         // 0: li x1 ; 1: add x2, x1, xzr ; 2: add x3, x1, xzr ; 3: halt
         // After inst 0, x1 has exactly two future consumers.
         let insts = vec![
@@ -776,16 +351,14 @@ mod tests {
             Inst::bare(Opcode::Halt),
         ];
         let cfg = cfg_of(&insts);
-        let facts = use_counts_pinned(&cfg, &insts);
-        // Single block: output = fact before inst 0; recompute the state
-        // after inst 0 by transferring inst 1..end backward from the
-        // block input.
-        let b = cfg.block_of(0);
-        let mut after0 = facts.input[b].clone();
+        let facts = use_counts_split(&cfg, &insts);
+        // Single block: recompute the state after inst 0 by transferring
+        // inst 1..end backward from the block input.
+        let mut after0 = facts.input[cfg.block_of(0)].clone();
         for pc in (1..insts.len()).rev() {
-            UseCounts.transfer(pc, &insts[pc], &mut after0);
+            split_transfer(&insts[pc], &mut after0);
         }
-        let c = after0.0[reg_bit(reg::x(1))];
+        let c = joined(&after0, reg::x(1));
         assert_eq!(c.min, 2);
         assert_eq!(c.max, 2);
         assert!(!c.redefining);
@@ -802,17 +375,10 @@ mod tests {
             Inst::jal(None, 2),
         ];
         let cfg = cfg_of(&insts);
-        let facts = use_counts_pinned(&cfg, &insts);
-        let b = cfg.block_of(0);
-        let c = facts.input[b].0[reg_bit(reg::x(1))];
-        // Before the loop is entered the value has 1 known consumer and
-        // the pinned exit keeps min at a sound value.
-        let mut after0 = facts.input[b].clone();
-        let _ = c;
-        for pc in (1..2).rev() {
-            UseCounts.transfer(pc, &insts[pc], &mut after0);
-        }
-        let c0 = after0.0[reg_bit(reg::x(1))];
+        let facts = use_counts_split(&cfg, &insts);
+        let mut after0 = facts.input[cfg.block_of(0)].clone();
+        split_transfer(&insts[1], &mut after0);
+        let c0 = joined(&after0, reg::x(1));
         assert!(
             c0.min <= 1,
             "min must not claim multi-consumer, got {}",

@@ -8,21 +8,21 @@
 //!
 //! * [`mod@cfg`] — control-flow graph construction (basic blocks, edges,
 //!   reachability, dominators) directly over instruction indices.
-//! * [`dataflow`] — a worklist framework with liveness, reaching
-//!   definitions / def-use chains, maybe-uninitialized reads, and a
-//!   consumer-count analysis bounding how many times each value can be
-//!   read.
+//! * [`dataflow`] — worklist analyses of maybe-uninitialized reads and
+//!   of consumer counts, bounding how many times each value can be read
+//!   before and after it crosses a loop back edge.
 //! * [`mod@classify`] — per-definition-site verdicts: provably dead,
 //!   guaranteed single consumer (with or without the safe redefining
 //!   shape), multi-consumer, or branch-dependent.
 //! * [`memdis`] — conservative store/load disambiguation over
 //!   block-locally value-numbered address expressions, feeding the
-//!   dead-store classification and lint.
+//!   dead-store lint.
 //! * [`mod@lint`] — a program verifier with machine-readable diagnostics,
 //!   exercised in CI against [`corpus`], a seeded set of deliberately
 //!   broken programs.
 //! * [`oracle`] — runs the functional emulator and cross-checks every
-//!   dynamic consumer count against the static bounds; its
+//!   dynamic consumer count ([`regshare_isa::trace_values`]) against the
+//!   static bounds; its
 //!   instance-weighted counts bracket the dynamic single-use fraction
 //!   from below (guaranteed-single sites) and above (not-dead,
 //!   not-multi sites).
@@ -41,15 +41,9 @@ pub mod oracle;
 pub mod regset;
 
 pub use cfg::{BasicBlock, Cfg};
-pub use classify::{
-    classify, classify_stores, classify_with_loops, Classification, ClassifiedSite,
-    ClassifiedStore, SiteClass, StoreFate,
-};
+pub use classify::{classify, classify_with_loops, Classification, ClassifiedSite, SiteClass};
 pub use corpus::{negative_corpus, CorpusCase};
-pub use dataflow::{
-    def_use, liveness, uninit_reads, use_counts_pinned, use_counts_split, DefSite, DefUse,
-    SplitFact,
-};
+pub use dataflow::{uninit_reads, use_counts_split, DefSite, SplitFact};
 pub use hints::{compile_hints, hint_for_class};
 pub use lint::{is_clean_of_errors, lint, lint_program, DiagCode, Diagnostic, Severity};
 pub use memdis::{block_mem_refs, dead_stores, may_alias, MemRef};

@@ -1,8 +1,9 @@
 //! Static-vs-dynamic sharing oracle.
 //!
 //! Runs a program on the functional [`Machine`], counts how many times
-//! each dynamically-produced value is actually consumed, and checks the
-//! observation against the static classification of its producing site:
+//! each dynamically-produced value is actually consumed (the trace's
+//! value replay, [`trace_values`]), and checks the observation against
+//! the static classification of its producing site:
 //!
 //! * a [`SiteClass::Dead`] site must never have a consumed instance,
 //! * a site with provable minimum ≥ 2 must never have an instance with
@@ -22,7 +23,7 @@
 use crate::cfg::Cfg;
 use crate::classify::{classify, ClassifiedSite, SiteClass};
 use crate::dataflow::MAX_SAT;
-use regshare_isa::{DefSlot, Machine, Program, StopReason};
+use regshare_isa::{trace_values, DefSlot, Machine, Program, StopReason};
 use serde::Serialize;
 use std::collections::HashMap;
 
@@ -92,13 +93,6 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-struct Instance {
-    site: (usize, DefSlot),
-    consumers: u32,
-    /// All consumers so far redefined the register they read.
-    redefining: bool,
-}
-
 /// Runs `program` for at most `max_instructions` and cross-checks the
 /// dynamic consumer counts against the static classification.
 ///
@@ -122,50 +116,27 @@ pub fn oracle_check(program: &Program, max_instructions: u64) -> Result<OracleRe
         .map_err(|e| format!("{e:?}"))?;
     let trace_complete = stop == StopReason::Halted;
 
-    // Replay the trace counting consumers per dynamic instance, with the
-    // same semantics as the static analysis: an instruction consumes a
-    // value once per unique register read, and reads happen before the
-    // instruction's own writes.
-    let mut producer_of: HashMap<regshare_isa::ArchReg, usize> = HashMap::new();
-    let mut instances: Vec<Instance> = Vec::new();
-    for r in &trace {
-        for u in r.inst.uses() {
-            if let Some(&id) = producer_of.get(&u) {
-                instances[id].consumers += 1;
-                let redefines = r.inst.defs().any(|(_, d)| d == u);
-                instances[id].redefining &= redefines;
-            }
-        }
-        for (slot, d) in r.inst.defs() {
-            let id = instances.len();
-            instances.push(Instance {
-                site: (r.pc as usize, slot),
-                consumers: 0,
-                redefining: true,
-            });
-            producer_of.insert(d, id);
-        }
-    }
-
+    let values = trace_values(trace.iter().map(|r| &r.inst));
     let mut report = OracleReport {
         trace_complete,
         retired: machine.retired(),
-        def_instances: instances.len() as u64,
+        def_instances: values.len() as u64,
         single_use_instances: 0,
         upper_bound_instances: 0,
         lower_bound_instances: 0,
         single_use_redefining_instances: 0,
         violations: Vec::new(),
     };
-    for inst in &instances {
-        if inst.consumers == 1 {
+    for v in &values {
+        if v.consumers == 1 {
             report.single_use_instances += 1;
-            if inst.redefining {
+            if v.first_redefines {
                 report.single_use_redefining_instances += 1;
             }
         }
+        let pc = trace[v.producer].pc as usize;
         let site = class_of
-            .get(&inst.site)
+            .get(&(pc, v.slot))
             .expect("every executed instruction is in a statically reachable block");
         if !matches!(site.class, SiteClass::Dead | SiteClass::MultiConsumer) {
             report.upper_bound_instances += 1;
@@ -177,13 +148,13 @@ pub fn oracle_check(program: &Program, max_instructions: u64) -> Result<OracleRe
         // Soundness: observed counts must respect the static bounds.
         // Without a complete trace the tail values may still gain
         // consumers, so only the upper bound is checkable.
-        let too_many = site.max_consumers < MAX_SAT && inst.consumers > site.max_consumers as u32;
-        let too_few = trace_complete && inst.consumers < site.min_consumers as u32;
+        let too_many = site.max_consumers < MAX_SAT && v.consumers > site.max_consumers as u32;
+        let too_few = trace_complete && v.consumers < site.min_consumers as u32;
         if too_many || too_few {
             report.violations.push(Violation {
-                pc: inst.site.0 as u32,
-                writeback: inst.site.1 == DefSlot::Writeback,
-                observed: inst.consumers,
+                pc: pc as u32,
+                writeback: v.slot == DefSlot::Writeback,
+                observed: v.consumers,
                 claimed: format!(
                     "{:?} (min {}, max {})",
                     site.class, site.min_consumers, site.max_consumers

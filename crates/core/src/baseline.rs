@@ -175,15 +175,14 @@ impl Renamer for BaselineRenamer {
             dst2: dst2_change,
         });
         self.t.stats.renamed += 1;
-        let mut uops = UopVec::new();
-        uops.push(Uop {
+        // Built where it is returned: the bundle is never copied.
+        Some(UopVec::one(Uop {
             seq,
             kind: UopKind::Main,
             srcs,
             dst: dst_tag,
             dst2: dst2_tag,
-        });
-        Some(uops)
+        }))
     }
 
     fn commit_on(&mut self, hart: HartId, seq: u64) {

@@ -302,9 +302,10 @@ impl Inst {
     ///
     /// Unlike [`Inst::sources`] (which is positional and may repeat a
     /// register, e.g. `add x1, x2, x2`), each register appears at most
-    /// once — the granularity at which consumer counting and liveness
-    /// operate: an instruction consumes a producer's value once no matter
-    /// how many operand slots carry it. Zero-register reads are excluded.
+    /// once — the granularity at which consumers are counted
+    /// ([`crate::trace_values`]): an instruction consumes a producer's
+    /// value once no matter how many operand slots carry it.
+    /// Zero-register reads are excluded.
     pub fn uses(&self) -> impl Iterator<Item = ArchReg> + '_ {
         self.srcs.iter().enumerate().filter_map(move |(i, r)| {
             let r = (*r)?;

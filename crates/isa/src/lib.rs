@@ -26,6 +26,9 @@
 //!   emulator and the timing simulator's execute stage.
 //! * [`Machine`] — the functional reference emulator, the correctness
 //!   oracle for every timing-simulator configuration.
+//! * [`trace_values`] — the replay of a retired trace that counts each
+//!   value's consumers, read by the paper's Figs. 1–3 and the static
+//!   oracle.
 //!
 //! # Examples
 //!
@@ -62,7 +65,7 @@ pub use decoded::{DecodedImage, DecodedOp};
 pub use hart::{HartId, MAX_HARTS};
 pub use hints::{ShareHint, ShareHintTable};
 pub use inst::{DefSlot, Inst};
-pub use machine::{Machine, MachineError, Retired, StopReason};
+pub use machine::{trace_values, Machine, MachineError, Retired, StopReason, TraceValue};
 pub use memory::Memory;
 pub use op::{OpClass, Opcode, OperandShape};
 pub use parse::{parse_program, ParseError};

@@ -1,7 +1,7 @@
 //! The functional reference emulator.
 
 use crate::exec::{self, Action};
-use crate::{ArchReg, Inst, Memory, Program, RegClass, NUM_FP_REGS, NUM_INT_REGS};
+use crate::{ArchReg, DefSlot, Inst, Memory, Program, RegClass, NUM_FP_REGS, NUM_INT_REGS};
 use std::fmt;
 
 /// A record of one retired instruction, emitted by [`Machine::step`].
@@ -26,6 +26,61 @@ pub struct Retired {
     /// Bit-pattern value written to the second destination (the written-
     /// back base register of post-increment memory operations).
     pub wvalue2: Option<u64>,
+}
+
+/// One value a retired-instruction trace produced, with the reads it got
+/// before it was overwritten or the trace ended.
+///
+/// This is the one definition of a value's consumers behind the paper's
+/// Figs. 1–3 and the static oracle: an instruction consumes a value once
+/// however many of its operands carry it ([`Inst::uses`]), and it reads
+/// its sources before it writes its destinations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceValue {
+    /// Trace index of the instruction that produced the value.
+    pub producer: usize,
+    /// The destination slot the value was written through.
+    pub slot: DefSlot,
+    /// How many instructions read the value.
+    pub consumers: u32,
+    /// Trace index of the first instruction that read it.
+    pub first_consumer: Option<usize>,
+    /// The first consumer also redefines the value's register (the
+    /// paper's safe-reuse shape).
+    pub first_redefines: bool,
+}
+
+/// Replays the instructions of a retired trace, in retirement order, and
+/// returns every value they produced, in production order: by trace
+/// index, then primary before writeback.
+pub fn trace_values<'a>(trace: impl IntoIterator<Item = &'a Inst>) -> Vec<TraceValue> {
+    let index = |r: ArchReg| r.class().index() * NUM_INT_REGS + r.index() as usize;
+    // The value each register holds, as an index into `values`.
+    let mut live = [usize::MAX; NUM_INT_REGS + NUM_FP_REGS];
+    let mut values: Vec<TraceValue> = Vec::new();
+    for (i, inst) in trace.into_iter().enumerate() {
+        for u in inst.uses() {
+            let Some(v) = values.get_mut(live[index(u)]) else {
+                continue; // never written in the trace
+            };
+            if v.consumers == 0 {
+                v.first_consumer = Some(i);
+                v.first_redefines = inst.defs().any(|(_, d)| d == u);
+            }
+            v.consumers += 1;
+        }
+        for (slot, d) in inst.defs() {
+            live[index(d)] = values.len();
+            values.push(TraceValue {
+                producer: i,
+                slot,
+                consumers: 0,
+                first_consumer: None,
+                first_redefines: false,
+            });
+        }
+    }
+    values
 }
 
 /// Why [`Machine::run`] stopped.
@@ -61,15 +116,6 @@ impl fmt::Display for MachineError {
 }
 
 impl std::error::Error for MachineError {}
-
-/// A snapshot of the architectural register state, for oracle comparisons.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArchState {
-    /// Integer registers `x0..x31` (x31 always 0).
-    pub int: [u64; NUM_INT_REGS],
-    /// Floating-point registers as bit patterns.
-    pub fp: [u64; NUM_FP_REGS],
-}
 
 /// The functional reference emulator: executes a [`Program`] one
 /// instruction at a time, in program order, with no timing model.
@@ -176,14 +222,6 @@ impl Machine {
     /// The program being executed.
     pub fn program(&self) -> &Program {
         &self.program
-    }
-
-    /// Snapshot of the architectural register state.
-    pub fn arch_state(&self) -> ArchState {
-        ArchState {
-            int: self.int,
-            fp: self.fp,
-        }
     }
 
     /// Executes one instruction.
@@ -484,16 +522,53 @@ mod tests {
     }
 
     #[test]
-    fn arch_state_snapshot_reflects_registers() {
+    fn trace_values_count_each_reader_once() {
         let mut a = Asm::new();
-        a.li(reg::x(3), 7);
-        a.fli(reg::f(2), 2.5);
+        a.li(reg::x(1), 1);
+        a.addi(reg::x(1), reg::x(1), 1); // sole reader of li, redefining
+        a.add(reg::x(2), reg::x(1), reg::x(1)); // one read, two operands
+        a.add(reg::x(3), reg::x(1), reg::x(2));
         a.halt();
-        let mut m = Machine::new(a.assemble());
-        m.run(10).unwrap();
-        let s = m.arch_state();
-        assert_eq!(s.int[3], 7);
-        assert_eq!(f64::from_bits(s.fp[2]), 2.5);
+        let (trace, _) = Machine::new(a.assemble()).run_trace(10).unwrap();
+        let v = trace_values(trace.iter().map(|r| &r.inst));
+        let summary: Vec<_> = v
+            .iter()
+            .map(|v| (v.producer, v.consumers, v.first_consumer, v.first_redefines))
+            .collect();
+        assert_eq!(
+            summary,
+            vec![
+                (0, 1, Some(1), true),
+                (1, 2, Some(2), false),
+                (2, 1, Some(3), false),
+                (3, 0, None, false),
+            ]
+        );
+    }
+
+    #[test]
+    fn post_increment_values_come_primary_first() {
+        let mut d = DataBuilder::new(0x1000);
+        let xs = d.u64(5);
+        let mut a = Asm::with_data(d);
+        a.li(reg::x(1), xs as i64);
+        a.ld_post(reg::x(2), reg::x(1), 8); // reads and rewrites the base
+        a.add(reg::x(3), reg::x(1), reg::x(2));
+        a.halt();
+        let (trace, _) = Machine::new(a.assemble()).run_trace(10).unwrap();
+        let v = trace_values(trace.iter().map(|r| &r.inst));
+        let slots: Vec<_> = v.iter().map(|v| (v.producer, v.slot)).collect();
+        assert_eq!(
+            slots,
+            vec![
+                (0, DefSlot::Primary),
+                (1, DefSlot::Primary),
+                (1, DefSlot::Writeback),
+                (2, DefSlot::Primary),
+            ]
+        );
+        assert!(v[0].first_redefines, "the post-increment rewrites its base");
+        assert_eq!((v[1].consumers, v[2].consumers), (1, 1));
     }
 
     #[test]

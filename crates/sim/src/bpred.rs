@@ -63,7 +63,6 @@ pub struct BranchPredictor {
     btb: Vec<Option<(u64, u64)>>, // (pc, target)
     ras: Vec<u64>,
     direction: Ratio,
-    target: Ratio,
 }
 
 impl BranchPredictor {
@@ -88,7 +87,6 @@ impl BranchPredictor {
             btb: vec![None; config.btb_entries],
             ras: Vec::new(),
             direction: Ratio::new("bpred_direction"),
-            target: Ratio::new("bpred_target"),
         }
     }
 
@@ -190,10 +188,6 @@ impl BranchPredictor {
             let idx = self.btb_index(pc);
             self.btb[idx] = Some((pc, target));
         }
-        if taken || prediction.taken {
-            self.target
-                .record(prediction.taken == taken && (!taken || prediction.target == target));
-        }
     }
 
     /// Trains the predictor from a functionally-executed control
@@ -203,7 +197,7 @@ impl BranchPredictor {
     /// performs the same PHT/history/BTB training as
     /// [`BranchPredictor::update`] *and* the RAS side effects that
     /// [`BranchPredictor::predict`] would have applied, leaving the
-    /// accuracy ratios untouched for the measurement window.
+    /// accuracy ratio untouched for the measurement window.
     pub fn warm(&mut self, pc: u64, inst: &Inst, taken: bool, target: u64) {
         match inst.opcode {
             Opcode::Jal if inst.dst().is_some() => self.push_ras(pc + 1),
@@ -235,17 +229,11 @@ impl BranchPredictor {
     /// Clears accuracy statistics, keeping all trained state.
     pub fn reset_stats(&mut self) {
         self.direction.reset();
-        self.target.reset();
     }
 
     /// Direction-prediction accuracy for conditional branches.
     pub fn direction_accuracy(&self) -> &Ratio {
         &self.direction
-    }
-
-    /// Overall control-flow prediction accuracy (direction and target).
-    pub fn target_accuracy(&self) -> &Ratio {
-        &self.target
     }
 }
 
@@ -328,7 +316,6 @@ mod tests {
             bp.warm(10, &b, true, 3);
         }
         assert_eq!(bp.direction_accuracy().total(), 0);
-        assert_eq!(bp.target_accuracy().total(), 0);
         assert!(bp.predict(10, &b).taken, "warming should train the PHT");
     }
 

@@ -54,16 +54,6 @@ impl Histogram {
         }
     }
 
-    /// Records `n` observations of `value`.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        self.total += n;
-        self.sum += value * n;
-        match self.buckets.get_mut(value as usize) {
-            Some(slot) => *slot += n,
-            None => self.overflow += n,
-        }
-    }
-
     /// Number of observations exactly equal to `value` (0 if above `max`).
     pub fn count(&self, value: u64) -> u64 {
         self.buckets.get(value as usize).copied().unwrap_or(0)
@@ -104,21 +94,6 @@ impl Histogram {
         } else {
             self.overflow as f64 / self.total as f64
         }
-    }
-
-    /// Fraction of observations `>= value` (inline buckets + overflow).
-    pub fn fraction_at_least(&self, value: u64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let inline: u64 = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(v, _)| *v as u64 >= value)
-            .map(|(_, c)| *c)
-            .sum();
-        (inline + self.overflow) as f64 / self.total as f64
     }
 
     /// Smallest value `v` such that at least `pct` percent of observations
@@ -211,19 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn record_n_is_equivalent_to_repeated_record() {
-        let mut a = Histogram::new("a", 4);
-        let mut b = Histogram::new("b", 4);
-        a.record_n(3, 5);
-        for _ in 0..5 {
-            b.record(3);
-        }
-        assert_eq!(a.count(3), b.count(3));
-        assert_eq!(a.total(), b.total());
-        assert_eq!(a.mean(), b.mean());
-    }
-
-    #[test]
     fn mean_accounts_for_overflowed_values() {
         let mut h = Histogram::new("h", 1);
         h.record(10);
@@ -232,13 +194,12 @@ mod tests {
     }
 
     #[test]
-    fn fraction_and_fraction_at_least() {
+    fn fractions_of_a_value_and_of_the_overflow() {
         let mut h = Histogram::new("h", 3);
         for v in [1, 1, 2, 3, 9] {
             h.record(v);
         }
         assert!((h.fraction(1) - 0.4).abs() < 1e-12);
-        assert!((h.fraction_at_least(2) - 0.6).abs() < 1e-12);
         assert!((h.overflow_fraction() - 0.2).abs() < 1e-12);
     }
 

@@ -193,11 +193,6 @@ impl SamplePlan {
         }
         starts
     }
-
-    /// Fraction of the stream covered by detailed simulation.
-    pub fn detail_fraction(&self) -> f64 {
-        self.window_len() as f64 / self.period as f64
-    }
 }
 
 /// Collects `u64` samples and answers min/max/mean/percentile queries.
@@ -507,12 +502,6 @@ mod plan_tests {
         let p = SamplePlan::new(1000, 100, 200);
         assert!(p.window_starts(299).is_empty());
         assert_eq!(p.window_starts(300), vec![0]);
-    }
-
-    #[test]
-    fn detail_fraction() {
-        let p = SamplePlan::new(10_000, 1_000, 1_000);
-        assert!((p.detail_fraction() - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl Table {
         self
     }
 
-    /// Appends a row built from `Display` values.
-    pub fn row_display<D: fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
-        self.row(cells.iter().map(|c| c.to_string()).collect())
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -195,9 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn row_display_converts_values() {
+    fn rows_are_counted_and_rendered() {
         let mut t = Table::with_headers(&["a", "b"]);
-        t.row_display(&[1.5, 2.25]);
+        t.row(vec!["1.5".into(), "2.25".into()]);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
         assert!(t.render().contains("2.25"));

@@ -1,19 +1,13 @@
-//! Dataflow analysis over functional traces — the measurements behind the
-//! paper's motivation figures.
+//! The paper's motivation measurements over a functional trace, read from
+//! its value replay ([`regshare_isa::trace_values`]):
 //!
-//! * [`analyze`] computes, for a dynamic trace, the single-consumer
-//!   percentages of Fig. 1 and the consumer-count histogram of Fig. 2.
-//! * [`reuse_potential`] computes Fig. 3: the fraction of
-//!   destination-writing instructions that could reuse a register given a
-//!   maximum chain length.
+//! * [`Dataflow::profile`] — the single-consumer percentages of Fig. 1
+//!   and the consumer-count histogram of Fig. 2.
+//! * [`Dataflow::reused`] — Fig. 3: the destination-writing instructions
+//!   that could reuse a register under each maximum chain length.
 
-use regshare_isa::{ArchReg, DefSlot, Machine, Program, Retired};
+use regshare_isa::{trace_values, Inst, Machine, Program, TraceValue};
 use regshare_stats::Histogram;
-use std::collections::HashMap;
-
-/// A dynamic value: which trace index produced it, and through which
-/// destination slot (post-increment ops produce two distinct values).
-type ValueId = (usize, DefSlot);
 
 /// Results of the Fig. 1 / Fig. 2 analysis.
 ///
@@ -28,7 +22,8 @@ type ValueId = (usize, DefSlot);
 pub struct DataflowProfile {
     /// Dynamic instructions analyzed.
     pub instructions: u64,
-    /// Dynamic instructions writing a destination register.
+    /// Destination registers written: post-increment memory operations
+    /// write two, so the fractions stay meaningful for renaming.
     pub with_dest: u64,
     /// Producers whose value has exactly one consumer, and that consumer
     /// redefines the same logical register (Fig. 1, "redefining" bars).
@@ -73,185 +68,151 @@ impl DataflowProfile {
         }
         self.with_dest as f64 / self.instructions as f64
     }
-
-    /// Fraction of produced values consumed exactly once (Fig. 2 "one
-    /// use"), over values with at least one consumer.
-    pub fn one_use_fraction(&self) -> f64 {
-        let consumed: u64 = (1..=self.consumers.max_inline())
-            .map(|v| self.consumers.count(v))
-            .sum::<u64>()
-            + self.consumers.overflow();
-        if consumed == 0 {
-            0.0
-        } else {
-            self.consumers.count(1) as f64 / consumed as f64
-        }
-    }
 }
 
-/// Runs a program functionally for up to `max_instructions` and analyzes
-/// its dataflow (Figs. 1 and 2).
-///
-/// # Panics
-///
-/// Panics if the program faults on the functional machine.
-pub fn analyze(program: &Program, max_instructions: u64) -> DataflowProfile {
-    let mut machine = Machine::new(program.clone());
-    let (trace, _) = machine
-        .run_trace(max_instructions)
-        .expect("analysis programs must execute cleanly");
-    analyze_trace(&trace)
+/// The instructions of a retired trace and the values they produced:
+/// everything Figs. 1–3 read.
+#[derive(Debug, Clone)]
+pub struct Dataflow {
+    /// The retired instructions, in retirement order.
+    pub insts: Vec<Inst>,
+    /// Their values, in production order ([`trace_values`]).
+    pub values: Vec<TraceValue>,
 }
 
-/// Analyzes an existing retired-instruction trace (Figs. 1 and 2).
-///
-/// Post-increment memory operations produce *two* values (the loaded data
-/// and the written-back base); both are tracked as distinct values, and
-/// `with_dest` counts destination registers (allocation events), so the
-/// fractions stay meaningful for renaming.
-pub fn analyze_trace(trace: &[Retired]) -> DataflowProfile {
-    let mut producer_of: HashMap<ArchReg, ValueId> = HashMap::new();
-    let mut consumers_of: HashMap<ValueId, u64> = HashMap::new();
-    let mut first_consumer_redefines: HashMap<ValueId, bool> = HashMap::new();
-    // For each instruction: the values it consumed.
-    let mut consumed: Vec<Vec<ValueId>> = vec![Vec::new(); trace.len()];
-
-    for (i, r) in trace.iter().enumerate() {
-        // `uses()` yields one read per unique register per instruction —
-        // exactly the consumption granularity Fig. 2 counts.
-        for src in r.inst.uses() {
-            if let Some(&p) = producer_of.get(&src) {
-                let n = consumers_of.entry(p).or_insert(0);
-                *n += 1;
-                if *n == 1 {
-                    let redefines = r.inst.defs().any(|(_, d)| d == src);
-                    first_consumer_redefines.insert(p, redefines);
-                }
-                consumed[i].push(p);
-            }
-        }
-        for (slot, d) in r.inst.defs() {
-            producer_of.insert(d, (i, slot));
-        }
+impl Dataflow {
+    /// Runs a program functionally for up to `max_instructions` and
+    /// replays its trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program faults on the functional machine.
+    pub fn run(program: &Program, max_instructions: u64) -> Dataflow {
+        let mut insts = Vec::new();
+        Machine::new(program.clone())
+            .run_observe(max_instructions, |r| insts.push(r.inst))
+            .expect("analysis programs must execute cleanly");
+        Dataflow::of(insts)
     }
 
-    let mut profile = DataflowProfile {
-        instructions: trace.len() as u64,
-        with_dest: 0,
-        single_consumer_redefining: 0,
-        single_consumer_other: 0,
-        sole_consumers: 0,
-        consumers: Histogram::new("consumers_per_value", 6),
-    };
+    /// Replays the instructions of an existing trace.
+    pub fn of(insts: Vec<Inst>) -> Dataflow {
+        let values = trace_values(&insts);
+        Dataflow { insts, values }
+    }
 
-    for (i, r) in trace.iter().enumerate() {
-        let record_value = |profile: &mut DataflowProfile, key: ValueId| {
-            let n = consumers_of.get(&key).copied().unwrap_or(0);
-            profile.consumers.record(n);
-            if n == 1 {
-                if first_consumer_redefines.get(&key).copied().unwrap_or(false) {
+    /// The Fig. 1 / Fig. 2 profile.
+    pub fn profile(&self) -> DataflowProfile {
+        let mut profile = DataflowProfile {
+            instructions: self.insts.len() as u64,
+            with_dest: self.values.len() as u64,
+            single_consumer_redefining: 0,
+            single_consumer_other: 0,
+            sole_consumers: 0,
+            consumers: Histogram::new("consumers_per_value", 6),
+        };
+        let mut sole_reader = vec![false; self.insts.len()];
+        for v in &self.values {
+            profile.consumers.record(u64::from(v.consumers));
+            if let (1, Some(reader)) = (v.consumers, v.first_consumer) {
+                if v.first_redefines {
                     profile.single_consumer_redefining += 1;
                 } else {
                     profile.single_consumer_other += 1;
                 }
-            }
-        };
-        let mut defines = false;
-        for (slot, _) in r.inst.defs() {
-            defines = true;
-            profile.with_dest += 1;
-            record_value(&mut profile, (i, slot));
-        }
-        // Consumer side: is this instruction the sole consumer of one of
-        // its sources?
-        if defines
-            && consumed[i]
-                .iter()
-                .any(|p| consumers_of.get(p).copied().unwrap_or(0) == 1)
-        {
-            profile.sole_consumers += 1;
-        }
-    }
-    profile
-}
-
-/// Fig. 3: fraction of destination-writing instructions that could avoid
-/// a register allocation if each physical register may be reused up to
-/// `max_chain` times (`u64::MAX` for unlimited).
-///
-/// The model is the paper's idealized limit study: an instruction reuses a
-/// source's register when it is that value's only consumer and the chain
-/// the value sits on has not reached `max_chain` reuses.
-pub fn reuse_potential(program: &Program, max_instructions: u64, max_chain: u64) -> f64 {
-    let mut machine = Machine::new(program.clone());
-    let (trace, _) = machine
-        .run_trace(max_instructions)
-        .expect("analysis programs must execute cleanly");
-    reuse_potential_trace(&trace, max_chain)
-}
-
-/// Trace-based variant of [`reuse_potential`].
-///
-/// Counts per destination register needed: an instruction with a primary
-/// destination and a base writeback contributes two allocation events,
-/// each independently reusable.
-pub fn reuse_potential_trace(trace: &[Retired], max_chain: u64) -> f64 {
-    // First pass: consumer counts per produced value.
-    let mut producer_of: HashMap<ArchReg, ValueId> = HashMap::new();
-    let mut consumers_of: HashMap<ValueId, u64> = HashMap::new();
-    for (i, r) in trace.iter().enumerate() {
-        for src in r.inst.uses() {
-            if let Some(&p) = producer_of.get(&src) {
-                *consumers_of.entry(p).or_insert(0) += 1;
+                sole_reader[reader] = true;
             }
         }
-        for (slot, d) in r.inst.defs() {
-            producer_of.insert(d, (i, slot));
-        }
+        profile.sole_consumers = self
+            .insts
+            .iter()
+            .zip(&sole_reader)
+            .filter(|(inst, &sole)| sole && inst.defs().next().is_some())
+            .count() as u64;
+        profile
     }
 
-    // Second pass: walk the trace simulating ideal chains.
-    producer_of.clear();
-    let mut chain_pos: HashMap<ValueId, u64> = HashMap::new();
-    let mut with_dest = 0u64;
-    let mut reused = 0u64;
-    for (i, r) in trace.iter().enumerate() {
-        let dst2 = r.inst.dst2();
-        if let Some(dst) = r.inst.dst() {
-            with_dest += 1;
-            for src in r.inst.uses() {
-                if src.class() != dst.class() || dst2 == Some(src) {
-                    continue; // the base belongs to the writeback's reuse
-                }
-                let Some(&p) = producer_of.get(&src) else {
-                    continue;
-                };
-                let pos = chain_pos.get(&p).copied().unwrap_or(0);
-                if consumers_of.get(&p).copied().unwrap_or(0) == 1 && pos < max_chain {
-                    chain_pos.insert((i, DefSlot::Primary), pos + 1);
-                    reused += 1;
-                    break;
-                }
+    /// Fig. 3: for each maximum chain length in `limits` (`u64::MAX` for
+    /// unlimited), how many destination registers could avoid an
+    /// allocation.
+    ///
+    /// The model is the paper's idealized limit study: a destination
+    /// reuses a source's register of its class when it is that value's
+    /// only consumer and the chain the value sits on has not reached the
+    /// limit. The primary destination tries its sources in operand
+    /// order, leaving a post-increment's base to the writeback, which
+    /// reuses only the base.
+    pub fn reused(&self, limits: &[u64]) -> Vec<u64> {
+        const NONE: usize = usize::MAX;
+        let insts = &self.insts;
+        // Each instruction's single-use sources, by operand position.
+        let mut sole = vec![[NONE; 3]; insts.len()];
+        for (id, v) in self.values.iter().enumerate() {
+            if let (1, Some(reader)) = (v.consumers, v.first_consumer) {
+                let (_, reg) = insts[v.producer]
+                    .defs()
+                    .find(|&(slot, _)| slot == v.slot)
+                    .expect("a value's slot is one of its producer's");
+                let operand = insts[reader].uses().position(|u| u == reg);
+                sole[reader][operand.expect("a consumer reads the value")] = id;
             }
         }
-        if let Some(d2) = dst2 {
-            with_dest += 1;
-            if let Some(&p) = producer_of.get(&d2) {
-                let pos = chain_pos.get(&p).copied().unwrap_or(0);
-                if consumers_of.get(&p).copied().unwrap_or(0) == 1 && pos < max_chain {
-                    chain_pos.insert((i, DefSlot::Writeback), pos + 1);
-                    reused += 1;
+        limits
+            .iter()
+            .map(|&max_chain| {
+                // Reuses on each value's chain, itself included.
+                let mut depth = vec![0u64; self.values.len()];
+                let mut reused = 0;
+                // The first value the current instruction produces.
+                let mut next = 0;
+                for (inst, sole) in insts.iter().zip(&sole) {
+                    let (dst, dst2) = (inst.dst(), inst.dst2());
+                    let mut reuse = |operand: usize, value: usize| {
+                        let source = sole[operand];
+                        let ok = source != NONE && depth[source] < max_chain;
+                        if ok {
+                            depth[value] = depth[source] + 1;
+                            reused += 1;
+                        }
+                        ok
+                    };
+                    if let Some(dst) = dst {
+                        for (operand, src) in inst.uses().enumerate() {
+                            if src.class() == dst.class()
+                                && dst2 != Some(src)
+                                && reuse(operand, next)
+                            {
+                                break;
+                            }
+                        }
+                    }
+                    if let Some(base) = dst2 {
+                        let value = next + usize::from(dst.is_some());
+                        if let Some(operand) = inst.uses().position(|u| u == base) {
+                            reuse(operand, value);
+                        }
+                    }
+                    next += inst.defs().count();
                 }
-            }
-        }
-        for (slot, d) in r.inst.defs() {
-            producer_of.insert(d, (i, slot));
-        }
+                reused
+            })
+            .collect()
     }
-    if with_dest == 0 {
-        0.0
-    } else {
-        reused as f64 / with_dest as f64
+
+    /// [`Dataflow::reused`] as fractions of the destination registers
+    /// written.
+    pub fn reuse_potential(&self, limits: &[u64]) -> Vec<f64> {
+        let with_dest = self.values.len();
+        self.reused(limits)
+            .into_iter()
+            .map(|n| {
+                if with_dest == 0 {
+                    0.0
+                } else {
+                    n as f64 / with_dest as f64
+                }
+            })
+            .collect()
     }
 }
 
@@ -260,9 +221,8 @@ mod tests {
     use super::*;
     use regshare_isa::{reg, Asm};
 
-    fn trace_of(a: Asm) -> Vec<Retired> {
-        let mut m = Machine::new(a.assemble());
-        m.run_trace(100_000).unwrap().0
+    fn run(a: Asm) -> Dataflow {
+        Dataflow::run(&a.assemble(), 100_000)
     }
 
     #[test]
@@ -272,7 +232,7 @@ mod tests {
         a.addi(reg::x(1), reg::x(1), 1); // sole consumer, redefining
         a.addi(reg::x(2), reg::x(1), 1); // sole consumer, NOT redefining
         a.halt();
-        let p = analyze_trace(&trace_of(a));
+        let p = run(a).profile();
         assert_eq!(p.single_consumer_redefining, 1); // li's value
         assert_eq!(p.single_consumer_other, 1); // first addi's value
         assert_eq!(p.sole_consumers, 2); // both addis
@@ -288,7 +248,7 @@ mod tests {
         a.addi(reg::x(2), reg::x(1), 1); // consumer 1 of x1
         a.addi(reg::x(3), reg::x(1), 2); // consumer 2 of x1
         a.halt();
-        let p = analyze_trace(&trace_of(a));
+        let p = run(a).profile();
         assert_eq!(p.single_consumer_redefining + p.single_consumer_other, 0);
         assert_eq!(p.sole_consumers, 0);
         assert_eq!(p.consumers.count(2), 1); // x1's value: two consumers
@@ -300,7 +260,7 @@ mod tests {
         a.li(reg::x(1), 5);
         a.mul(reg::x(2), reg::x(1), reg::x(1)); // one consumer (unique read)
         a.halt();
-        let p = analyze_trace(&trace_of(a));
+        let p = run(a).profile();
         assert_eq!(p.consumers.count(1), 1);
     }
 
@@ -314,13 +274,24 @@ mod tests {
             a.addi(reg::x(1), reg::x(1), 1);
         }
         a.halt();
-        let p = a.assemble();
-        let unlimited = reuse_potential(&p, 100_000, u64::MAX);
-        let limit1 = reuse_potential(&p, 100_000, 1);
-        // 5 dest-writing instructions; 4 can reuse with no limit.
-        assert!((unlimited - 4.0 / 5.0).abs() < 1e-9, "got {unlimited}");
-        // With chain limit 1: reuse at positions 2 and 4 only.
-        assert!((limit1 - 2.0 / 5.0).abs() < 1e-9, "got {limit1}");
+        // 5 dest-writing instructions; 4 can reuse with no limit, and
+        // only positions 2 and 4 with chain limit 1.
+        assert_eq!(run(a).reused(&[u64::MAX, 1]), vec![4, 2]);
+    }
+
+    #[test]
+    fn reuse_tries_sources_in_operand_order() {
+        let mut a = Asm::new();
+        a.li(reg::x(2), 1);
+        a.li(reg::x(1), 2);
+        a.addi(reg::x(1), reg::x(1), 1); // chain depth 1
+        a.add(reg::x(3), reg::x(1), reg::x(2)); // sole reader of both
+        a.addi(reg::x(4), reg::x(3), 0);
+        a.halt();
+        // At limit 2 the add extends x1's chain (its first operand) to
+        // depth 2, so the last addi cannot reuse; taking x2 first would
+        // have left room for it. At limit 1 the add falls back to x2.
+        assert_eq!(run(a).reused(&[1, 2, u64::MAX]), vec![2, 2, 3]);
     }
 
     #[test]
@@ -329,15 +300,15 @@ mod tests {
         a.li(reg::x(1), 5);
         a.cvt_i_f(reg::f(1), reg::x(1)); // sole consumer but fp dest
         a.halt();
-        let p = a.assemble();
-        assert_eq!(reuse_potential(&p, 1_000, u64::MAX), 0.0);
+        assert_eq!(run(a).reuse_potential(&[u64::MAX]), vec![0.0]);
     }
 
     #[test]
     fn fractions_are_well_defined_on_empty_trace() {
-        let p = analyze_trace(&[]);
+        let d = Dataflow::of(Vec::new());
+        let p = d.profile();
         assert_eq!(p.single_use_fraction(), 0.0);
         assert_eq!(p.dest_fraction(), 0.0);
-        assert_eq!(p.one_use_fraction(), 0.0);
+        assert_eq!(d.reuse_potential(&[1]), vec![0.0]);
     }
 }

@@ -152,7 +152,7 @@ pub fn generate(config: SyntheticConfig) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis;
+    use crate::analysis::Dataflow;
     use regshare_isa::{Machine, StopReason};
 
     #[test]
@@ -190,8 +190,8 @@ mod tests {
             iterations: 20,
             ..Default::default()
         });
-        let lo_frac = analysis::analyze(&lo, 100_000).single_use_fraction();
-        let hi_frac = analysis::analyze(&hi, 100_000).single_use_fraction();
+        let lo_frac = Dataflow::run(&lo, 100_000).profile().single_use_fraction();
+        let hi_frac = Dataflow::run(&hi, 100_000).profile().single_use_fraction();
         assert!(
             hi_frac > lo_frac + 0.2,
             "bias should move single-use fraction: {lo_frac:.3} vs {hi_frac:.3}"

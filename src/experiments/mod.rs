@@ -3,8 +3,8 @@
 //! `experiments` binary dispatches through.
 //!
 //! Each subcommand is a function of `&Args`: most modules hold one, as
-//! `run`; `sweeps` holds Figures 10 and 10-EC, and `ablate` the four
-//! ablations, each a table of settings. A subcommand prints its table
+//! `run`; `motivation` holds Figures 1–3, `sweeps` Figures 10 and 10-EC,
+//! and `ablate` the four ablations, each a table of settings. A subcommand prints its table
 //! and writes machine-readable rows to `<out_dir>/<name>.json`. The
 //! binary in `src/bin/experiments.rs` is a thin CLI: it parses flags
 //! into [`Args`] and walks the registry.
@@ -12,14 +12,12 @@
 mod ablate;
 mod analyze;
 mod common;
-mod fig1;
 mod fig11;
 mod fig12;
-mod fig2;
-mod fig3;
 mod fig9;
 mod hints;
 mod inject;
+mod motivation;
 mod profile;
 mod sample;
 mod serve;
@@ -44,9 +42,9 @@ pub type ExperimentFn = fn(&Args) -> Result<(), ExpError>;
 /// contract.
 pub fn registry() -> Vec<(&'static str, ExperimentFn)> {
     vec![
-        ("fig1", fig1::run),
-        ("fig2", fig2::run),
-        ("fig3", fig3::run),
+        ("fig1", motivation::fig1),
+        ("fig2", motivation::fig2),
+        ("fig3", motivation::fig3),
         ("table1", table1::run),
         ("table2", table2::run),
         ("table3", table3::run),

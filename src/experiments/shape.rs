@@ -7,9 +7,10 @@
 //! the small-scale figures characterize.
 
 use super::common::{pct, save, Args, ExpError};
-use crate::isa::{Machine, Retired};
+use crate::isa::{Inst, Machine};
 use crate::stats::Table;
-use crate::workloads::{all_kernels, analysis, Kernel};
+use crate::workloads::analysis::Dataflow;
+use crate::workloads::{all_kernels, Kernel};
 use serde::Serialize;
 
 /// Instructions captured per trace window.
@@ -58,7 +59,7 @@ fn rungs(scale: u64) -> Vec<u64> {
 
 /// Collects up to [`MAX_WINDOWS`] windows of [`WINDOW`] retired
 /// instructions, evenly spread over the first `rung` instructions.
-fn windowed_trace(kernel: &Kernel, rung: u64) -> Vec<Retired> {
+fn windowed_trace(kernel: &Kernel, rung: u64) -> Vec<Inst> {
     let windows = (rung / WINDOW).clamp(1, MAX_WINDOWS);
     let period = rung / windows;
     let mut machine = Machine::new(kernel.program(rung));
@@ -73,7 +74,7 @@ fn windowed_trace(kernel: &Kernel, rung: u64) -> Vec<Retired> {
             break;
         }
         machine
-            .run_observe(end, |r| trace.push(*r))
+            .run_observe(end, |r| trace.push(r.inst))
             .expect("functional execution");
     }
     trace
@@ -98,10 +99,10 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
     let mut rows = Vec::new();
     for k in representatives() {
         for &rung in &ladder {
-            let trace = windowed_trace(&k, rung);
-            let profile = analysis::analyze_trace(&trace);
-            let le2 = analysis::reuse_potential_trace(&trace, 2);
-            let unl = analysis::reuse_potential_trace(&trace, u64::MAX);
+            let dataflow = Dataflow::of(windowed_trace(&k, rung));
+            let profile = dataflow.profile();
+            let reuse = dataflow.reuse_potential(&[2, u64::MAX]);
+            let (le2, unl) = (reuse[0], reuse[1]);
             table.row(vec![
                 k.name.into(),
                 rung.to_string(),
@@ -114,7 +115,7 @@ pub fn run(args: &Args) -> Result<(), ExpError> {
                 kernel: k.name.into(),
                 suite: k.suite.label().into(),
                 scale: rung,
-                windows: trace.len().div_ceil(WINDOW as usize),
+                windows: dataflow.insts.len().div_ceil(WINDOW as usize),
                 single_use_pct: profile.single_use_fraction() * 100.0,
                 dest_pct: profile.dest_fraction() * 100.0,
                 reuse_le2_pct: le2 * 100.0,

@@ -9,7 +9,8 @@ use regshare::harness::{
 use regshare::isa::RegClass;
 use regshare::sim::Pipeline;
 use regshare::stats::{geomean, mean};
-use regshare::workloads::{analysis, suite_kernels, Suite};
+use regshare::workloads::analysis::Dataflow;
+use regshare::workloads::{suite_kernels, Suite};
 
 const ANALYSIS_SCALE: u64 = 60_000;
 const SIM_SCALE: u64 = 40_000;
@@ -18,7 +19,9 @@ fn suite_single_use(suite: Suite) -> f64 {
     let vals: Vec<f64> = suite_kernels(suite)
         .iter()
         .map(|k| {
-            analysis::analyze(&k.program(ANALYSIS_SCALE), ANALYSIS_SCALE).single_use_fraction()
+            Dataflow::run(&k.program(ANALYSIS_SCALE), ANALYSIS_SCALE)
+                .profile()
+                .single_use_fraction()
         })
         .collect();
     mean(&vals)
@@ -46,11 +49,13 @@ fn fig1_fp_dominates_int() {
 #[test]
 fn fig3_reuse_potential_is_monotone_and_front_loaded() {
     for k in suite_kernels(Suite::Fp) {
-        let p = k.program(ANALYSIS_SCALE);
-        let one = analysis::reuse_potential(&p, ANALYSIS_SCALE, 1);
-        let two = analysis::reuse_potential(&p, ANALYSIS_SCALE, 2);
-        let three = analysis::reuse_potential(&p, ANALYSIS_SCALE, 3);
-        let unlimited = analysis::reuse_potential(&p, ANALYSIS_SCALE, u64::MAX);
+        let reuse = Dataflow::run(&k.program(ANALYSIS_SCALE), ANALYSIS_SCALE).reuse_potential(&[
+            1,
+            2,
+            3,
+            u64::MAX,
+        ]);
+        let (one, two, three, unlimited) = (reuse[0], reuse[1], reuse[2], reuse[3]);
         assert!(
             one <= two && two <= three && three <= unlimited,
             "{}",
@@ -136,7 +141,7 @@ fn reuse_attains_most_of_its_oracle_ceiling() {
     // an unconstrained register file.
     for k in suite_kernels(Suite::Fp) {
         let program = k.program(SIM_SCALE);
-        let potential = analysis::reuse_potential(&program, SIM_SCALE, 3);
+        let potential = Dataflow::run(&program, SIM_SCALE).reuse_potential(&[3])[0];
         if potential < 0.05 {
             continue;
         }
